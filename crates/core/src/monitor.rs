@@ -10,6 +10,7 @@ use crate::vm::{DirtyStrategy, IoStrategy, VirtualIrq, VirtualTimer, Vm, VmState
 use std::collections::VecDeque;
 use vax_arch::{AccessMode, Exception, MachineVariant, Opcode, Psl, ScbVector, VmPsl};
 use vax_cpu::{ExecTier, Machine, StepEvent, VmExit, IO_BASE_PA};
+use vax_mem::PhysMemory;
 use vax_obs::{ExitCause, Histogram, Metrics, Obs, ObsSink};
 
 /// Identifies a VM within a [`Monitor`].
@@ -139,10 +140,19 @@ pub struct Monitor {
 impl Monitor {
     /// Creates a monitor on a modified VAX with the given configuration.
     pub fn new(config: MonitorConfig) -> Monitor {
-        let machine = Machine::new(MachineVariant::Modified, config.mem_bytes);
-        let total_frames = config.mem_bytes / 512;
+        let mem = PhysMemory::new(config.mem_bytes);
+        Monitor::with_memory(config, mem)
+    }
+
+    /// Creates a monitor whose machine runs on `mem` — a restored image
+    /// or a copy-on-write fork — instead of fresh zeroed memory. `mem`
+    /// should be `config.mem_bytes` long; frames are allocated only below
+    /// the smaller of the two. VMs recreated over memory that already
+    /// holds their tables come back with [`Monitor::adopt_vm`].
+    pub fn with_memory(config: MonitorConfig, mem: PhysMemory) -> Monitor {
+        let total_frames = (config.mem_bytes / 512).min(mem.pages());
         Monitor {
-            machine,
+            machine: Machine::with_memory(MachineVariant::Modified, mem),
             vms: Vec::new(),
             current: None,
             config,
@@ -181,8 +191,19 @@ impl Monitor {
     /// Creates a VM. Its memory is a fixed contiguous block of real
     /// memory presented as guest-physical pages `0..mem_pages` (paper §4).
     pub fn create_vm(&mut self, name: &str, config: VmConfig) -> VmId {
+        let id = self.adopt_vm(name, config);
+        self.vms[id.0].shadow.write_tables(&mut self.machine);
+        id
+    }
+
+    /// Recreates a VM exactly as [`Monitor::create_vm`] would — same
+    /// frames, same shadow layout — but writes nothing to real memory:
+    /// the machine's memory must already hold the VM's real SPT and
+    /// shadow tables, as a restored image or a fork of a monitor that
+    /// created the same VMs in the same order does.
+    pub fn adopt_vm(&mut self, name: &str, config: VmConfig) -> VmId {
         let base = self.falloc.alloc(config.mem_pages);
-        let shadow = ShadowSet::new(&mut self.machine, &mut self.falloc, config.shadow);
+        let shadow = ShadowSet::layout(&mut self.falloc, config.shadow);
         let mut vm = Vm {
             name: name.to_string(),
             mem_base_pfn: base,

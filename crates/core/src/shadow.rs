@@ -136,8 +136,6 @@ pub struct ShadowSet {
     real_spt_pa: u32,
     /// Total entries in the real SPT (guest window + VMM region).
     real_spt_entries: u32,
-    /// Next free VMM-region VPN.
-    vmm_next_vpn: u32,
     slots: Vec<ShadowSlot>,
     active: usize,
     clock: u64,
@@ -152,12 +150,24 @@ pub struct ShadowSet {
 impl ShadowSet {
     /// Allocates and initializes the shadow state for one VM: the real
     /// SPT (guest window nulled) and `cache_slots` process-table pairs
-    /// mapped into the VMM region above the boundary.
+    /// mapped into the VMM region above the boundary —
+    /// [`ShadowSet::layout`] followed by [`ShadowSet::write_tables`].
     pub fn new(
         machine: &mut Machine,
         falloc: &mut FrameAllocator,
         config: ShadowConfig,
     ) -> ShadowSet {
+        let set = ShadowSet::layout(falloc, config);
+        set.write_tables(machine);
+        set
+    }
+
+    /// The bookkeeping half of [`ShadowSet::new`]: allocates the real SPT
+    /// and every slot's process tables from `falloc` and places the
+    /// tables in the VMM region, writing nothing to real memory. Memory
+    /// that already holds the tables — restored or forked from a monitor
+    /// that made the same allocations — needs only this.
+    pub fn layout(falloc: &mut FrameAllocator, config: ShadowConfig) -> ShadowSet {
         assert!(config.cache_slots >= 1);
         assert!(config.prefill_group >= 1);
         let p0_frames = table_frames(config.p0_capacity);
@@ -166,59 +176,66 @@ impl ShadowSet {
         let spt_entries = config.s_capacity + vmm_region_pages;
         let spt_frames = table_frames(spt_entries);
         let spt_pfn = falloc.alloc(spt_frames);
-        let real_spt_pa = spt_pfn << PAGE_SHIFT;
-
-        let mut set = ShadowSet {
+        let vmm_va = |vpn: u32| S_BASE + (vpn << PAGE_SHIFT);
+        let mut vpn = config.s_capacity;
+        let slots = (0..config.cache_slots)
+            .map(|_| {
+                let p0_pfn = falloc.alloc(p0_frames);
+                let p1_pfn = falloc.alloc(p1_frames);
+                let slot = ShadowSlot {
+                    key: None,
+                    p0_pa: p0_pfn << PAGE_SHIFT,
+                    p0_va: vmm_va(vpn),
+                    p1_pa: p1_pfn << PAGE_SHIFT,
+                    p1_va: vmm_va(vpn + p0_frames),
+                    last_used: 0,
+                };
+                vpn += p0_frames + p1_frames;
+                slot
+            })
+            .collect();
+        ShadowSet {
             config,
-            real_spt_pa,
+            real_spt_pa: spt_pfn << PAGE_SHIFT,
             real_spt_entries: spt_entries,
-            vmm_next_vpn: config.s_capacity,
-            slots: Vec::with_capacity(config.cache_slots),
+            slots,
             active: 0,
             clock: 0,
             evictions: 0,
             invalidations: 0,
-        };
-
-        // Guest S window: inaccessible until the guest sets SLR.
-        for vpn in 0..config.s_capacity {
-            set.write_real_spt(machine, vpn, Pte::build(0, Protection::Na, false, false));
         }
+    }
 
-        for _ in 0..config.cache_slots {
-            let p0_pfn = falloc.alloc(p0_frames);
-            let p1_pfn = falloc.alloc(p1_frames);
-            let p0_va = set.map_vmm_frames(machine, p0_pfn, p0_frames);
-            let p1_va = set.map_vmm_frames(machine, p1_pfn, p1_frames);
-            let slot = ShadowSlot {
-                key: None,
-                p0_pa: p0_pfn << PAGE_SHIFT,
-                p0_va,
-                p1_pa: p1_pfn << PAGE_SHIFT,
-                p1_va,
-                last_used: 0,
-            };
-            null_fill(machine, slot.p0_pa, config.p0_capacity);
-            null_fill(machine, slot.p1_pa, config.p1_capacity);
-            set.slots.push(slot);
+    /// The memory half of [`ShadowSet::new`]: writes the real SPT — the
+    /// guest S window as null PTEs, inaccessible until the guest sets
+    /// SLR, and the VMM region mapping every slot's tables
+    /// kernel-protected — and nulls every slot's process tables.
+    pub fn write_tables(&self, machine: &mut Machine) {
+        let cfg = self.config;
+        for vpn in 0..cfg.s_capacity {
+            self.write_real_spt(machine, vpn, Pte::build(0, Protection::Na, false, false));
         }
-        set
+        let (p0_frames, p1_frames) = (table_frames(cfg.p0_capacity), table_frames(cfg.p1_capacity));
+        for slot in &self.slots {
+            self.map_vmm_frames(machine, slot.p0_va, slot.p0_pa, p0_frames);
+            self.map_vmm_frames(machine, slot.p1_va, slot.p1_pa, p1_frames);
+            null_fill(machine, slot.p0_pa, cfg.p0_capacity);
+            null_fill(machine, slot.p1_pa, cfg.p1_capacity);
+        }
     }
 
     fn write_real_spt(&self, machine: &mut Machine, vpn: u32, pte: Pte) {
         vmm_write_u32(machine, self.real_spt_pa + 4 * vpn, pte.raw());
     }
 
-    /// Maps `count` frames starting at `pfn` into the VMM region of this
-    /// VM's real SPT, kernel-protected; returns the S VA of the first.
-    fn map_vmm_frames(&mut self, machine: &mut Machine, pfn: u32, count: u32) -> u32 {
-        let first_vpn = self.vmm_next_vpn;
+    /// Maps the `count` frames at physical `pa` into the VMM region of
+    /// this VM's real SPT at S VA `va`, kernel-protected.
+    fn map_vmm_frames(&self, machine: &mut Machine, va: u32, pa: u32, count: u32) {
+        let (first_vpn, pfn) = ((va - S_BASE) >> PAGE_SHIFT, pa >> PAGE_SHIFT);
         for i in 0..count {
             let pte = Pte::build(pfn + i, Protection::Kw, true, true);
             self.write_real_spt(machine, first_vpn + i, pte);
         }
-        self.vmm_next_vpn += count;
-        S_BASE + (first_vpn << PAGE_SHIFT)
     }
 
     /// The configuration in effect.

@@ -78,9 +78,10 @@ pub enum ExecTier {
     /// Decode-cache-served interpretation (the default).
     #[default]
     Cache,
-    /// Decode cache plus superblock µop translation of hot code, with the
-    /// interpreter as the fallback for everything the translator gates
-    /// off (mapped or VM-mode execution, sensitive instructions, faults).
+    /// Decode cache plus superblock µop translation of hot code, mapped
+    /// or not, with the interpreter as the fallback for everything the
+    /// translator gates off (VM-mode execution under `PSL<VM>`, overflow
+    /// trapping under `PSL<IV>`, sensitive instructions, faults).
     Trans,
 }
 
@@ -256,6 +257,15 @@ impl Machine {
     /// paper's VMM requires; the standard variant sets `PTE<M>` in
     /// hardware.
     pub fn new(variant: MachineVariant, mem_bytes: u32) -> Machine {
+        Machine::with_memory(variant, PhysMemory::new(mem_bytes))
+    }
+
+    /// Creates a machine of the given variant around `mem` — a restored
+    /// image or a copy-on-write fork — instead of fresh zeroed memory.
+    /// Everything else starts as in [`Machine::new`]; the decode caches
+    /// start cold and no code page is marked.
+    pub fn with_memory(variant: MachineVariant, mut mem: PhysMemory) -> Machine {
+        mem.clear_all_code_pages();
         let mut mmu = Mmu::new();
         mmu.set_modify_fault_enabled(variant.has_vm_extensions());
         Machine {
@@ -276,7 +286,7 @@ impl Machine {
             todr: 0,
             todr_acc: 0,
             mmu,
-            mem: PhysMemory::new(mem_bytes),
+            mem,
             icache: DecodeCache::new(),
             icache_enabled: true,
             trans: TransCache::new(),
@@ -1207,29 +1217,12 @@ impl Machine {
         }
     }
 
-    /// Replaces this machine's physical memory wholesale (snapshot restore
-    /// and copy-on-write forking). The decoded-instruction cache is
-    /// dropped: its entries are keyed by physical address into the old
-    /// contents. Write-tracking enablement carries over: if the outgoing
-    /// memory was tracked and the incoming one is not, a fresh tracker is
-    /// armed, sized to the *new* memory — the old bitmaps never survive a
-    /// swap, so a differently-sized replacement cannot leave a stale,
-    /// mis-sized bitmap behind.
-    pub fn replace_mem(&mut self, mem: PhysMemory) {
-        let was_tracking = self.mem.write_tracking_enabled();
-        self.mem = mem;
-        self.invalidate_code_caches();
-        self.mem.clear_all_code_pages();
-        if was_tracking && !self.mem.write_tracking_enabled() {
-            self.mem.enable_write_tracking();
-        }
-    }
-
     /// Forks this machine's memory copy-on-write (see
     /// [`PhysMemory::fork`]), returning the child overlay. The parent's
     /// decode cache stays valid — contents are unchanged — but write
     /// tracking keeps working because all stores funnel through
-    /// [`PhysMemory`].
+    /// [`PhysMemory`]. Once frozen, further children can also be forked
+    /// through `&self` with [`PhysMemory::fork_frozen`].
     pub fn fork_mem(&mut self) -> PhysMemory {
         self.mem.fork()
     }
@@ -1344,38 +1337,6 @@ mod tests {
         assert_eq!(m.reg(14), 0x7FC);
         assert_eq!(m.pop().unwrap(), 0x1234_5678);
         assert_eq!(m.reg(14), 0x800);
-    }
-
-    #[test]
-    fn replace_mem_rearms_tracking_sized_to_the_new_memory() {
-        // Regression: enable_write_tracking sizes its bitmaps from
-        // pages() at enable time. Swapping in a *larger* memory must not
-        // leave the old 8-page bitmap behind — a write past the old size
-        // would index out of bounds (a host panic) or go untracked.
-        let mut m = Machine::new(MachineVariant::Standard, 8 * 512);
-        m.enable_write_tracking();
-        m.mem_mut().write_u8(0, 1).unwrap();
-        assert_eq!(m.mem().dirty_page_count(), 1);
-
-        m.replace_mem(PhysMemory::new(64 * 512));
-        assert!(
-            m.write_tracking_enabled(),
-            "tracking enablement survives a memory swap"
-        );
-        assert_eq!(m.mem().dirty_page_count(), 0, "fresh tracker starts clean");
-        // The write far past the old memory's size is tracked, not a panic.
-        m.mem_mut().write_u8(63 * 512, 1).unwrap();
-        assert_eq!(m.mem().dirty_pages(), vec![63]);
-
-        // Shrinking works the same way.
-        m.replace_mem(PhysMemory::new(2 * 512));
-        m.mem_mut().write_u8(512, 1).unwrap();
-        assert_eq!(m.mem().dirty_pages(), vec![1]);
-
-        // An untracked machine stays untracked across a swap.
-        let mut plain = Machine::new(MachineVariant::Standard, 4096);
-        plain.replace_mem(PhysMemory::new(4096));
-        assert!(!plain.write_tracking_enabled());
     }
 
     #[test]

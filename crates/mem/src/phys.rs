@@ -4,6 +4,9 @@ use crate::fault::MemFault;
 use std::sync::Arc;
 use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 
+/// Bytes per page, as a `usize` for indexing.
+const PAGE: usize = PAGE_BYTES as usize;
+
 /// A bank of simulated physical memory.
 ///
 /// Addresses are 32-bit physical byte addresses starting at 0. References
@@ -16,10 +19,16 @@ use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 ///
 /// [`PhysMemory::fork`] freezes the current contents into an [`Arc`]'d
 /// *base* shared between the parent and every child, and turns each of
-/// them into an overlay: reads of an untouched page come straight from the
-/// shared base, and the first write to a page copies that one page into
-/// the overlay (`O(dirty pages)`, not `O(size)`). An unforked memory pays
-/// no overlay cost beyond one well-predicted branch per access.
+/// them into a sparse overlay: a per-page slot table plus an arena that
+/// holds only the pages written since the fork. Reads of an untouched
+/// page come straight from the shared base; the first write to a page
+/// appends a copy of that one page to the arena. A fork copies nothing
+/// and allocates one byte of decode-cache marks per 512-byte page; the
+/// first write adds the slot table (four bytes per page), and a child
+/// that writes *k* pages holds *k* pages of its own. Once frozen, a memory forks
+/// through `&self` ([`PhysMemory::fork_frozen`]), so concurrent forks of
+/// one parent need no lock. An unforked memory stays dense and pays no
+/// overlay cost beyond one well-predicted branch per access.
 ///
 /// # Example
 ///
@@ -34,17 +43,13 @@ use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysMemory {
-    /// The private overlay. Holds every byte when unforked; holds only
-    /// materialized (resident) pages after a fork.
+    /// Every byte while unforked; empty once the memory is a
+    /// copy-on-write overlay, whose contents live in `cow`.
     bytes: Vec<u8>,
-    /// The frozen copy-on-write base shared with fork relatives, if any.
-    /// Always the same length as `bytes`.
-    base: Option<Arc<Vec<u8>>>,
-    /// Per-page: true if the page lives in `bytes` rather than `base`.
-    /// Empty (and unused) when `base` is `None`.
-    resident: Vec<bool>,
-    /// Number of `true` entries in `resident`.
-    resident_count: u32,
+    /// Size in bytes, a whole number of pages.
+    size: u32,
+    /// The shared frozen base and private pages, once forked.
+    cow: Option<Overlay>,
     /// Pages whose contents back decoded-instruction-cache entries. A
     /// write to a marked page is recorded in `dirty_code` so the CPU can
     /// invalidate the stale cache entries before its next decode
@@ -57,6 +62,120 @@ pub struct PhysMemory {
     /// snapshots). `None` — the default — costs one predictable branch
     /// per write; see [`PhysMemory::enable_write_tracking`].
     tracker: Option<Box<WriteTracker>>,
+}
+
+/// The copy-on-write view of a forked memory: a frozen base shared with
+/// fork relatives, plus the pages this memory has written since.
+#[derive(Debug, Clone)]
+struct Overlay {
+    /// The frozen base; always the memory's full size.
+    base: Arc<Vec<u8>>,
+    /// Per page: 0 while shared with `base`; otherwise `n` when the page
+    /// lives at arena page `n - 1`. Empty until the first write, so a
+    /// fork allocates no table.
+    slots: Vec<u32>,
+    /// Materialized pages, back to back in materialization order.
+    arena: Vec<u8>,
+}
+
+impl Overlay {
+    fn over(base: Arc<Vec<u8>>) -> Overlay {
+        Overlay {
+            base,
+            slots: Vec::new(),
+            arena: Vec::new(),
+        }
+    }
+
+    /// Page `p`'s slot (0: shared).
+    #[inline]
+    fn slot(&self, p: usize) -> u32 {
+        self.slots.get(p).copied().unwrap_or(0)
+    }
+
+    /// Pages materialized into the arena.
+    fn resident(&self) -> u32 {
+        (self.arena.len() / PAGE) as u32
+    }
+
+    /// The effective contents of page `p`.
+    #[inline]
+    fn page(&self, p: usize) -> &[u8] {
+        match self.slot(p) {
+            0 => &self.base[p * PAGE..(p + 1) * PAGE],
+            s => {
+                let start = (s as usize - 1) * PAGE;
+                &self.arena[start..start + PAGE]
+            }
+        }
+    }
+
+    /// Page `p`, materialized first if it is still shared.
+    #[inline]
+    fn page_mut(&mut self, p: usize) -> &mut [u8] {
+        let s = match self.slot(p) {
+            0 => self.materialize(p),
+            s => s,
+        };
+        let start = (s as usize - 1) * PAGE;
+        &mut self.arena[start..start + PAGE]
+    }
+
+    /// Appends a private copy of page `p` to the arena; returns its slot.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, p: usize) -> u32 {
+        if self.slots.is_empty() {
+            self.slots = vec![0; self.base.len() / PAGE];
+        }
+        self.arena
+            .extend_from_slice(&self.base[p * PAGE..(p + 1) * PAGE]);
+        let s = self.resident();
+        self.slots[p] = s;
+        s
+    }
+
+    /// `N` bytes at `i`, resolving the page once unless the access
+    /// straddles a page boundary. Out of line, so the dense read path it
+    /// sits beside keeps its small frame.
+    #[inline(never)]
+    fn read<const N: usize>(&self, i: usize) -> [u8; N] {
+        let off = i % PAGE;
+        let mut out = [0; N];
+        if off + N <= PAGE {
+            out.copy_from_slice(&self.page(i / PAGE)[off..off + N]);
+        } else {
+            for (k, b) in out.iter_mut().enumerate() {
+                *b = self.page((i + k) / PAGE)[(i + k) % PAGE];
+            }
+        }
+        out
+    }
+
+    /// Applies `f` to each page-sized piece of `[i, i+len)`, with the
+    /// piece's offset into the range.
+    #[inline]
+    fn for_each_mut(&mut self, i: usize, len: usize, mut f: impl FnMut(usize, &mut [u8])) {
+        let mut done = 0;
+        while done < len {
+            let at = i + done;
+            let off = at % PAGE;
+            let n = (PAGE - off).min(len - done);
+            f(done, &mut self.page_mut(at / PAGE)[off..off + n]);
+            done += n;
+        }
+    }
+
+    /// The effective contents as one dense buffer.
+    fn merged(&self) -> Vec<u8> {
+        let mut out = self.base.as_ref().clone();
+        for (p, &s) in self.slots.iter().enumerate() {
+            if s != 0 {
+                out[p * PAGE..(p + 1) * PAGE].copy_from_slice(self.page(p));
+            }
+        }
+        out
+    }
 }
 
 /// Working-set telemetry state: which pages the guest has written.
@@ -103,7 +222,7 @@ impl PartialEq for PhysMemory {
         if self.size() != other.size() {
             return false;
         }
-        if self.base.is_none() && other.base.is_none() {
+        if self.cow.is_none() && other.cow.is_none() {
             return self.bytes == other.bytes;
         }
         (0..self.pages()).all(|p| self.page(p) == other.page(p))
@@ -116,12 +235,25 @@ impl PhysMemory {
     /// Allocates `size` bytes of zeroed memory, rounded up to a whole page.
     pub fn new(size: u32) -> PhysMemory {
         let rounded = size.div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        PhysMemory::from_bytes(vec![0; rounded as usize])
+    }
+
+    /// Adopts `bytes` as the memory's contents without copying them,
+    /// zero-padded to a whole page — how a snapshot restore builds its
+    /// memory straight from the decoded image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the 32-bit physical address space.
+    #[allow(clippy::expect_used)]
+    pub fn from_bytes(mut bytes: Vec<u8>) -> PhysMemory {
+        bytes.resize(bytes.len().div_ceil(PAGE) * PAGE, 0);
+        let size = u32::try_from(bytes.len()).expect("memory fits 32-bit physical addresses");
         PhysMemory {
-            bytes: vec![0; rounded as usize],
-            base: None,
-            resident: Vec::new(),
-            resident_count: 0,
-            code_pages: vec![false; (rounded >> PAGE_SHIFT) as usize],
+            bytes,
+            size,
+            cow: None,
+            code_pages: vec![false; size as usize / PAGE],
             dirty_code: Vec::new(),
             tracker: None,
         }
@@ -129,7 +261,7 @@ impl PhysMemory {
 
     /// Total size in bytes.
     pub fn size(&self) -> u32 {
-        self.bytes.len() as u32
+        self.size
     }
 
     /// Total size in pages.
@@ -139,7 +271,7 @@ impl PhysMemory {
 
     /// True if the `len`-byte range starting at `pa` is backed by memory.
     pub fn contains(&self, pa: u32, len: u32) -> bool {
-        (pa as u64) + (len as u64) <= self.bytes.len() as u64
+        (pa as u64) + (len as u64) <= self.size as u64
     }
 
     fn check(&self, pa: u32, len: u32) -> Result<usize, MemFault> {
@@ -176,78 +308,33 @@ impl PhysMemory {
 
     // ---- copy-on-write fork ----
 
-    /// One byte of effective contents (overlay if resident, base
-    /// otherwise).
-    #[inline]
-    fn byte_at(&self, i: usize) -> u8 {
-        match &self.base {
-            None => self.bytes[i],
-            Some(base) => {
-                if self.resident[i >> PAGE_SHIFT] {
-                    self.bytes[i]
-                } else {
-                    base[i]
-                }
-            }
-        }
-    }
-
-    /// Copies page `pfn` from the shared base into the private overlay so
-    /// it can be written. No-op when unforked or already resident.
-    #[inline]
-    fn materialize(&mut self, pfn: u32) {
-        let Some(base) = &self.base else { return };
-        let p = pfn as usize;
-        if self.resident[p] {
-            return;
-        }
-        let start = p << PAGE_SHIFT;
-        let end = start + PAGE_BYTES as usize;
-        self.bytes[start..end].copy_from_slice(&base[start..end]);
-        self.resident[p] = true;
-        self.resident_count += 1;
-    }
-
-    /// Materializes every page overlapping `[pa, pa+len)`.
-    #[inline]
-    fn ensure_resident(&mut self, pa: u32, len: u32) {
-        if self.base.is_none() || len == 0 {
-            return;
-        }
-        let first = pa >> PAGE_SHIFT;
-        let last = (pa + len - 1) >> PAGE_SHIFT;
-        for pfn in first..=last {
-            self.materialize(pfn);
-        }
-    }
-
     /// Freezes the current effective contents into a shareable base and
     /// turns `self` into an overlay over it with no resident pages.
     ///
     /// Cheap (`Arc` clone) when already frozen with nothing written since;
     /// otherwise merges the overlay into a fresh base, `O(size)`.
     fn freeze(&mut self) -> Arc<Vec<u8>> {
-        if let Some(base) = &self.base {
-            if self.resident_count == 0 {
-                return Arc::clone(base);
-            }
-        }
-        let mut merged = std::mem::take(&mut self.bytes);
-        if let Some(base) = &self.base {
-            for (p, resident) in self.resident.iter().enumerate() {
-                if !resident {
-                    let start = p << PAGE_SHIFT;
-                    let end = start + PAGE_BYTES as usize;
-                    merged[start..end].copy_from_slice(&base[start..end]);
-                }
-            }
-        }
+        let merged = match &self.cow {
+            Some(cow) if cow.arena.is_empty() => return Arc::clone(&cow.base),
+            Some(cow) => cow.merged(),
+            None => std::mem::take(&mut self.bytes),
+        };
         let frozen = Arc::new(merged);
-        self.bytes = vec![0; frozen.len()];
-        self.resident = vec![false; (frozen.len() as u32 >> PAGE_SHIFT) as usize];
-        self.resident_count = 0;
-        self.base = Some(Arc::clone(&frozen));
+        self.cow = Some(Overlay::over(Arc::clone(&frozen)));
         frozen
+    }
+
+    /// A child overlay over `base` with no private pages, clean
+    /// decode-cache marks and no write tracker.
+    fn child_of(&self, base: Arc<Vec<u8>>) -> PhysMemory {
+        PhysMemory {
+            bytes: Vec::new(),
+            size: self.size,
+            cow: Some(Overlay::over(base)),
+            code_pages: vec![false; self.pages() as usize],
+            dirty_code: Vec::new(),
+            tracker: None,
+        }
     }
 
     /// Forks a copy-on-write child sharing every page with `self`.
@@ -256,25 +343,29 @@ impl PhysMemory {
     /// starts with zero private pages, and each side pays one page copy on
     /// its first write to any page. The child's decode-cache write
     /// tracking starts clean (its CPU must start with a cold decode
-    /// cache).
+    /// cache). Freezing costs `O(size)` the first time and after the
+    /// parent writes; the child itself costs its slot table.
     pub fn fork(&mut self) -> PhysMemory {
         let base = self.freeze();
-        let pages = (base.len() as u32 >> PAGE_SHIFT) as usize;
-        PhysMemory {
-            bytes: vec![0; base.len()],
-            resident: vec![false; pages],
-            resident_count: 0,
-            base: Some(base),
-            code_pages: vec![false; pages],
-            dirty_code: Vec::new(),
-            tracker: None,
+        self.child_of(base)
+    }
+
+    /// Forks a child exactly like [`PhysMemory::fork`], but from a memory
+    /// that is already frozen — forked before, with no page written since
+    /// — and so without mutating it. Concurrent forks of one frozen parent
+    /// need no lock. `None` when `self` is unforked or holds private
+    /// pages: [`PhysMemory::fork`] must freeze it first.
+    pub fn fork_frozen(&self) -> Option<PhysMemory> {
+        match &self.cow {
+            Some(cow) if cow.arena.is_empty() => Some(self.child_of(Arc::clone(&cow.base))),
+            _ => None,
         }
     }
 
     /// True if this memory shares a copy-on-write base with fork
     /// relatives.
     pub fn is_cow(&self) -> bool {
-        self.base.is_some()
+        self.cow.is_some()
     }
 
     /// Number of `PhysMemory` values (this one included) holding a
@@ -283,13 +374,13 @@ impl PhysMemory {
     /// this fails to return to its post-freeze baseline after the
     /// request is reaped — the seam the `vaxd` hygiene tests assert on.
     pub fn base_ref_count(&self) -> Option<usize> {
-        self.base.as_ref().map(Arc::strong_count)
+        self.cow.as_ref().map(|cow| Arc::strong_count(&cow.base))
     }
 
     /// Number of pages privately materialized since the last fork
     /// (0 when unforked).
     pub fn resident_pages(&self) -> u32 {
-        self.resident_count
+        self.cow.as_ref().map_or(0, Overlay::resident)
     }
 
     /// The page numbers privately materialized since the last fork, in
@@ -299,22 +390,24 @@ impl PhysMemory {
     /// the working-set oracle tests compare it against
     /// [`PhysMemory::dirty_pages`].
     pub fn resident_page_numbers(&self) -> Vec<u32> {
-        self.resident
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r)
-            .map(|(p, _)| p as u32)
-            .collect()
+        self.cow.as_ref().map_or_else(Vec::new, |cow| {
+            cow.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| **s != 0)
+                .map(|(p, _)| p as u32)
+                .collect()
+        })
     }
 
     /// Fraction of pages still shared with the copy-on-write base, in
     /// `[0, 1]` (1.0 right after a fork, 0.0 when unforked or fully
     /// diverged).
     pub fn shared_fraction(&self) -> f64 {
-        if self.base.is_none() || self.pages() == 0 {
+        if self.cow.is_none() || self.pages() == 0 {
             return 0.0;
         }
-        1.0 - self.resident_count as f64 / self.pages() as f64
+        1.0 - self.resident_pages() as f64 / self.pages() as f64
     }
 
     /// The effective contents of page `pfn`, or `None` past the end.
@@ -452,15 +545,31 @@ impl PhysMemory {
     /// borrow-friendly handle the CPU's I-stream fast path parses
     /// instruction bytes from after translating the fetch page once.
     pub fn page_tail(&self, pa: u32) -> Option<&[u8]> {
-        if !self.contains(pa, 1) {
-            return None;
+        let i = pa as usize;
+        match &self.cow {
+            // Bounded by the slice it indexes: past the end, the page
+            // end is past it too.
+            None => self.bytes.get(i..(i / PAGE + 1) * PAGE),
+            Some(cow) => self
+                .contains(pa, 1)
+                .then(|| &cow.page(i / PAGE)[i % PAGE..]),
         }
-        let end = (((pa >> PAGE_SHIFT) + 1) << PAGE_SHIFT).min(self.size());
-        let src: &[u8] = match &self.base {
-            Some(base) if !self.resident[(pa >> PAGE_SHIFT) as usize] => base,
-            _ => &self.bytes,
-        };
-        Some(&src[pa as usize..end as usize])
+    }
+
+    /// `N` bytes at `pa`. The dense path checks the range against the
+    /// buffer it indexes, so that check is its only one.
+    #[inline(always)]
+    fn load<const N: usize>(&self, pa: u32) -> Result<[u8; N], MemFault> {
+        let i = pa as usize;
+        match &self.cow {
+            None if u64::from(pa) + N as u64 <= self.bytes.len() as u64 => {
+                let mut out = [0; N];
+                out.copy_from_slice(&self.bytes[i..i + N]);
+                Ok(out)
+            }
+            Some(cow) if self.contains(pa, N as u32) => Ok(cow.read(i)),
+            _ => Err(MemFault::NonExistent { pa }),
+        }
     }
 
     /// Reads one byte.
@@ -469,8 +578,7 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if `pa` is beyond physical memory.
     pub fn read_u8(&self, pa: u32) -> Result<u8, MemFault> {
-        let i = self.check(pa, 1)?;
-        Ok(self.byte_at(i))
+        Ok(self.load::<1>(pa)?[0])
     }
 
     /// Reads a little-endian 16-bit word.
@@ -479,11 +587,7 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn read_u16(&self, pa: u32) -> Result<u16, MemFault> {
-        let i = self.check(pa, 2)?;
-        if self.base.is_none() {
-            return Ok(u16::from_le_bytes([self.bytes[i], self.bytes[i + 1]]));
-        }
-        Ok(u16::from_le_bytes([self.byte_at(i), self.byte_at(i + 1)]))
+        self.load(pa).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian 32-bit longword.
@@ -492,21 +596,7 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn read_u32(&self, pa: u32) -> Result<u32, MemFault> {
-        let i = self.check(pa, 4)?;
-        if self.base.is_none() {
-            return Ok(u32::from_le_bytes([
-                self.bytes[i],
-                self.bytes[i + 1],
-                self.bytes[i + 2],
-                self.bytes[i + 3],
-            ]));
-        }
-        Ok(u32::from_le_bytes([
-            self.byte_at(i),
-            self.byte_at(i + 1),
-            self.byte_at(i + 2),
-            self.byte_at(i + 3),
-        ]))
+        self.load(pa).map(u32::from_le_bytes)
     }
 
     /// Writes one byte.
@@ -515,11 +605,7 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if `pa` is beyond physical memory.
     pub fn write_u8(&mut self, pa: u32, v: u8) -> Result<(), MemFault> {
-        let i = self.check(pa, 1)?;
-        self.ensure_resident(pa, 1);
-        self.note_write(pa, 1);
-        self.bytes[i] = v;
-        Ok(())
+        self.write_bytes(pa, &[v])
     }
 
     /// Writes a little-endian 16-bit word.
@@ -528,11 +614,7 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn write_u16(&mut self, pa: u32, v: u16) -> Result<(), MemFault> {
-        let i = self.check(pa, 2)?;
-        self.ensure_resident(pa, 2);
-        self.note_write(pa, 2);
-        self.bytes[i..i + 2].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write_bytes(pa, &v.to_le_bytes())
     }
 
     /// Writes a little-endian 32-bit longword.
@@ -541,11 +623,7 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn write_u32(&mut self, pa: u32, v: u32) -> Result<(), MemFault> {
-        let i = self.check(pa, 4)?;
-        self.ensure_resident(pa, 4);
-        self.note_write(pa, 4);
-        self.bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write_bytes(pa, &v.to_le_bytes())
     }
 
     /// Copies a slice into memory at `pa`.
@@ -554,18 +632,31 @@ impl PhysMemory {
     ///
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn write_slice(&mut self, pa: u32, data: &[u8]) -> Result<(), MemFault> {
+        self.write_bytes(pa, data)
+    }
+
+    /// The one store path: bounds check, write notice, then
+    /// the dense copy or, when forked, a per-page copy that materializes
+    /// each page it touches.
+    #[inline(always)]
+    fn write_bytes(&mut self, pa: u32, data: &[u8]) -> Result<(), MemFault> {
         let i = self.check(pa, data.len() as u32)?;
-        if !data.is_empty() {
-            self.ensure_resident(pa, data.len() as u32);
-            self.note_write(pa, data.len() as u32);
+        if data.is_empty() {
+            return Ok(());
         }
-        self.bytes[i..i + data.len()].copy_from_slice(data);
+        self.note_write(pa, data.len() as u32);
+        match &mut self.cow {
+            None => self.bytes[i..i + data.len()].copy_from_slice(data),
+            Some(cow) => cow.for_each_mut(i, data.len(), |at, dst| {
+                dst.copy_from_slice(&data[at..at + dst.len()]);
+            }),
+        }
         Ok(())
     }
 
     /// Reads `len` bytes starting at `pa`, borrowing when the range lies
-    /// in one backing store and copying only when a forked range mixes
-    /// overlay and base pages.
+    /// in one page or, on a forked memory, entirely in the shared base,
+    /// and copying otherwise.
     ///
     /// # Errors
     ///
@@ -574,20 +665,31 @@ impl PhysMemory {
         use std::borrow::Cow;
         let i = self.check(pa, len)?;
         let end = i + len as usize;
-        let Some(base) = &self.base else {
+        let Some(cow) = &self.cow else {
             return Ok(Cow::Borrowed(&self.bytes[i..end]));
         };
         if len == 0 {
             return Ok(Cow::Borrowed(&[]));
         }
-        let first = pa >> PAGE_SHIFT;
-        let last = (pa + len - 1) >> PAGE_SHIFT;
-        let lead = self.resident[first as usize];
-        if (first..=last).all(|p| self.resident[p as usize] == lead) {
-            let src: &[u8] = if lead { &self.bytes } else { base };
-            return Ok(Cow::Borrowed(&src[i..end]));
+        let (first, last) = (i / PAGE, (end - 1) / PAGE);
+        if first == last {
+            return Ok(Cow::Borrowed(&cow.page(first)[i % PAGE..][..len as usize]));
         }
-        Ok(Cow::Owned((i..end).map(|j| self.byte_at(j)).collect()))
+        if (first..=last).all(|p| cow.slot(p) == 0) {
+            return Ok(Cow::Borrowed(&cow.base[i..end]));
+        }
+        let mut out = Vec::with_capacity(len as usize);
+        for p in first..=last {
+            let page = cow.page(p);
+            let from = if p == first { i % PAGE } else { 0 };
+            let to = if p == last {
+                (end - 1) % PAGE + 1
+            } else {
+                PAGE
+            };
+            out.extend_from_slice(&page[from..to]);
+        }
+        Ok(Cow::Owned(out))
     }
 
     /// Zero-fills the `len`-byte range at `pa`.
@@ -597,11 +699,14 @@ impl PhysMemory {
     /// [`MemFault::NonExistent`] if the range extends beyond memory.
     pub fn zero_range(&mut self, pa: u32, len: u32) -> Result<(), MemFault> {
         let i = self.check(pa, len)?;
-        if len > 0 {
-            self.ensure_resident(pa, len);
-            self.note_write(pa, len);
+        if len == 0 {
+            return Ok(());
         }
-        self.bytes[i..i + len as usize].fill(0);
+        self.note_write(pa, len);
+        match &mut self.cow {
+            None => self.bytes[i..i + len as usize].fill(0),
+            Some(cow) => cow.for_each_mut(i, len as usize, |_, dst| dst.fill(0)),
+        }
         Ok(())
     }
 }
@@ -877,5 +982,51 @@ mod tests {
         // The parent keeps tracking across the fork.
         assert!(m.write_tracking_enabled());
         assert_eq!(m.touched_pages(), vec![0]);
+    }
+
+    #[test]
+    fn fork_frozen_needs_a_frozen_clean_parent() {
+        let mut parent = PhysMemory::new(4 * PAGE_BYTES);
+        parent.write_u8(7, 3).unwrap();
+        assert!(parent.fork_frozen().is_none(), "unforked: freeze first");
+        let first = parent.fork();
+        let second = parent.fork_frozen().expect("frozen and clean");
+        assert_eq!(second, first);
+        assert_eq!(second.read_u8(7).unwrap(), 3);
+        assert_eq!(parent.base_ref_count(), Some(3));
+        assert_eq!(second.resident_pages(), 0);
+        drop((first, second));
+        assert_eq!(parent.base_ref_count(), Some(1));
+        parent.write_u8(PAGE_BYTES, 1).unwrap();
+        assert!(parent.fork_frozen().is_none(), "private pages: refreeze");
+    }
+
+    #[test]
+    fn from_bytes_adopts_and_pads_to_a_page() {
+        let m = PhysMemory::from_bytes(vec![9; PAGE_BYTES as usize + 3]);
+        assert_eq!(m.pages(), 2);
+        assert_eq!(m.read_u8(PAGE_BYTES + 2).unwrap(), 9);
+        assert_eq!(m.read_u8(PAGE_BYTES + 3).unwrap(), 0);
+        assert!(!m.is_cow());
+    }
+
+    #[test]
+    fn forked_range_reads_borrow_from_one_store() {
+        let mut parent = PhysMemory::new(8 * PAGE_BYTES);
+        let mut child = parent.fork();
+        let shared = child.read_slice(PAGE_BYTES - 4, 2 * PAGE_BYTES).unwrap();
+        assert!(matches!(shared, std::borrow::Cow::Borrowed(_)));
+        // A range within one private page borrows from it.
+        child.write_u8(2 * PAGE_BYTES + 1, 1).unwrap();
+        let one = child.read_slice(2 * PAGE_BYTES, PAGE_BYTES).unwrap();
+        assert!(matches!(one, std::borrow::Cow::Borrowed(_)));
+        assert_eq!(one[1], 1);
+        // Private pages 6 and 5 sit out of order in the arena: copied.
+        child.write_u8(6 * PAGE_BYTES, 6).unwrap();
+        child.write_u8(5 * PAGE_BYTES, 5).unwrap();
+        let two = child.read_slice(5 * PAGE_BYTES, 2 * PAGE_BYTES).unwrap();
+        assert!(matches!(two, std::borrow::Cow::Owned(_)));
+        assert_eq!((two[0], two[PAGE_BYTES as usize]), (5, 6));
+        assert_eq!(child.resident_page_numbers(), vec![2, 5, 6]);
     }
 }

@@ -146,4 +146,55 @@ proptest! {
         prop_assert_eq!(mem.read_u16(pa).unwrap(), v as u16);
         prop_assert_eq!(mem.read_u8(pa).unwrap(), v as u8);
     }
+
+    /// A forked child is observably the dense memory it was forked from
+    /// plus the same writes: every width reads back alike, range reads
+    /// agree whether they borrow or copy, exactly the written pages are
+    /// private, and the parent never sees the child's writes.
+    #[test]
+    fn forked_overlay_matches_dense_model(
+        ops in proptest::collection::vec((0u32..5, 0u32..8180, any::<u32>()), 1..48),
+    ) {
+        let mut dense = PhysMemory::new(16 * 512);
+        for p in 0..16u32 {
+            dense.write_u32(p * 512 + 8, 0x1000 + p).unwrap();
+        }
+        let mut parent = dense.clone();
+        let mut child = parent.fork();
+        let mut written = std::collections::BTreeSet::new();
+        for (kind, pa, v) in ops {
+            let len = match kind {
+                0 => { dense.write_u8(pa, v as u8).unwrap(); child.write_u8(pa, v as u8).unwrap(); 1 }
+                1 => { dense.write_u16(pa, v as u16).unwrap(); child.write_u16(pa, v as u16).unwrap(); 2 }
+                2 => { dense.write_u32(pa, v).unwrap(); child.write_u32(pa, v).unwrap(); 4 }
+                3 => {
+                    let data: Vec<u8> = (0..v % 700).map(|k| (k as u8) ^ (v as u8)).collect();
+                    let data = &data[..data.len().min((8192 - pa) as usize)];
+                    dense.write_slice(pa, data).unwrap();
+                    child.write_slice(pa, data).unwrap();
+                    data.len() as u32
+                }
+                _ => {
+                    let len = (v % 1100).min(8192 - pa);
+                    dense.zero_range(pa, len).unwrap();
+                    child.zero_range(pa, len).unwrap();
+                    len
+                }
+            };
+            if len > 0 {
+                written.extend(pa / 512..=(pa + len - 1) / 512);
+            }
+            let probe = v % 8188;
+            prop_assert_eq!(child.read_u32(probe).unwrap(), dense.read_u32(probe).unwrap());
+            prop_assert_eq!(child.read_u16(pa.min(8190)).unwrap(), dense.read_u16(pa.min(8190)).unwrap());
+            let span = (v % 1500).min(8192 - pa);
+            prop_assert_eq!(&*child.read_slice(pa, span).unwrap(), &*dense.read_slice(pa, span).unwrap());
+        }
+        prop_assert!(child == dense, "effective contents agree");
+        prop_assert_eq!(child.resident_page_numbers(), written.into_iter().collect::<Vec<_>>());
+        prop_assert!(parent.fork_frozen().is_some(), "the parent is still frozen");
+        for p in 0..16u32 {
+            prop_assert_eq!(parent.read_u32(p * 512 + 8).unwrap(), 0x1000 + p);
+        }
+    }
 }

@@ -2,21 +2,22 @@
 //!
 //! A snapshot does not serialize the monitor's internal structure — it
 //! serializes the *inputs* that reproduce it. Restore is
-//! reconstruction: [`Monitor::new`] with the captured config, then
-//! [`Monitor::create_vm`] per VM in creation order. Because the frame
-//! allocator is a deterministic bump allocator, this re-derives the
-//! exact physical frame layout (VM memory blocks, shadow page tables)
-//! of the snapshotted monitor; the serialized `mem_base_pfn` is checked
-//! against the re-derived one so a layout mismatch is an error, not a
-//! corrupted guest. With the skeleton in place, the captured physical
-//! memory image is written over the machine's (carrying the shadow
-//! table *contents* with it), the machine state — including the TLB,
-//! exactly — is injected, and the per-VM state and shadow bookkeeping
-//! are overwritten in place.
+//! reconstruction around the final memory: [`Monitor::with_memory`]
+//! with the captured config and the memory the monitor will run on —
+//! the image bytes, adopted without a copy, or a copy-on-write fork of
+//! a live parent — then [`Monitor::adopt_vm`] per VM in creation order.
+//! Because the frame allocator is a deterministic bump allocator, this
+//! re-derives the exact physical frame layout (VM memory blocks, shadow
+//! page tables) of the snapshotted monitor; the serialized
+//! `mem_base_pfn` is checked against the re-derived one so a layout
+//! mismatch is an error, not a corrupted guest. The table *contents*
+//! already sit in that memory, so reconstruction writes none of them.
+//! The machine state — including the TLB, exactly — is then injected,
+//! and the per-VM state and shadow bookkeeping are overwritten in place.
 //!
-//! The same skeleton-then-inject path serves copy-on-write forking:
-//! instead of a serialized memory image, the child machine adopts a
-//! [`PhysMemory`] forked from the parent, sharing every unmodified page.
+//! Copy-on-write forking takes the same path with a [`PhysMemory`]
+//! forked from a live parent in place of the bytes, sharing every
+//! unmodified page, so no guest memory is copied or zeroed.
 
 use crate::error::SnapshotError;
 use vax_cpu::MachineState;
@@ -133,27 +134,45 @@ pub fn capture(monitor: &Monitor, with_memory: bool) -> Result<MonitorImage, Sna
 /// than the image records, or when the memory image does not match the
 /// configured size.
 pub fn rebuild(image: MonitorImage, mem: MemSource) -> Result<Monitor, SnapshotError> {
-    let mut monitor = Monitor::new(image.config.clone());
-    if let MemSource::Image = mem {
-        if image.memory.len() != monitor.machine().mem().size() as usize {
+    let MonitorImage {
+        config,
+        sched,
+        machine,
+        memory,
+        vms,
+    } = image;
+    // The machine is built around its final memory: the image bytes or
+    // the fork, which already hold every VM's real SPT and shadow tables.
+    let expected = u64::from(config.mem_bytes).div_ceil(512) * 512;
+    let mem = match mem {
+        MemSource::Image if memory.len() as u64 == expected => PhysMemory::from_bytes(memory),
+        MemSource::Image => {
             return Err(SnapshotError::Invalid {
                 what: "memory image size disagrees with configuration",
-            });
+            })
         }
-    }
-    // Recreate every VM through the normal creation path. This re-runs
-    // the deterministic frame allocation sequence, so the skeleton's
-    // layout matches the snapshotted monitor frame for frame — checked
-    // below, because everything downstream (guest PTEs, shadow tables,
-    // the TLB image) encodes physical addresses from that layout.
+        MemSource::Forked(forked) if u64::from(forked.size()) == expected => forked,
+        MemSource::Forked(_) => {
+            return Err(SnapshotError::Invalid {
+                what: "forked memory size disagrees with configuration",
+            })
+        }
+    };
+    let mut monitor = Monitor::with_memory(config, mem);
+    // Re-place every VM the way creation placed it. This re-runs the
+    // deterministic frame allocation sequence, so the skeleton's layout
+    // matches the snapshotted monitor frame for frame — checked below,
+    // because everything downstream (guest PTEs, shadow tables, the TLB
+    // image) encodes physical addresses from that layout. The tables
+    // themselves came with the memory, so none is written.
     let mut ids = Vec::new();
-    for vm_image in &image.vms {
+    for vm_image in &vms {
         if Monitor::admission_frames(&vm_image.config) > u64::from(monitor.frames_remaining()) {
             return Err(SnapshotError::Invalid {
                 what: "VMs do not fit in machine memory",
             });
         }
-        let id = monitor.create_vm(&vm_image.vm.name, vm_image.config.clone());
+        let id = monitor.adopt_vm(&vm_image.vm.name, vm_image.config.clone());
         if monitor.vm(id).mem_base_pfn != vm_image.vm.mem_base_pfn {
             return Err(SnapshotError::Invalid {
                 what: "memory layout does not reproduce",
@@ -161,33 +180,11 @@ pub fn rebuild(image: MonitorImage, mem: MemSource) -> Result<Monitor, SnapshotE
         }
         ids.push(id);
     }
-    // Memory before machine state: importing the state resets the
-    // decode cache and re-arms code-page tracking against whatever
-    // memory is in place at that point.
-    match mem {
-        MemSource::Image => {
-            monitor
-                .machine_mut()
-                .mem_mut()
-                .write_slice(0, &image.memory)
-                .map_err(|_| SnapshotError::Invalid {
-                    what: "memory image does not fit the machine",
-                })?;
-        }
-        MemSource::Forked(forked) => {
-            if forked.size() != monitor.machine().mem().size() {
-                return Err(SnapshotError::Invalid {
-                    what: "forked memory size disagrees with configuration",
-                });
-            }
-            monitor.machine_mut().replace_mem(forked);
-        }
-    }
-    monitor.machine_mut().import_state(image.machine.clone());
-    for (id, vm_image) in ids.into_iter().zip(image.vms) {
+    monitor.machine_mut().import_state(machine);
+    for (id, vm_image) in ids.into_iter().zip(vms) {
         *monitor.vm_mut(id) = vm_image.vm;
         monitor.shadow_mut(id).import_cache_state(vm_image.shadow);
     }
-    monitor.set_scheduler_state(image.sched);
+    monitor.set_scheduler_state(sched);
     Ok(monitor)
 }

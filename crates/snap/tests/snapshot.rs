@@ -271,3 +271,26 @@ fn rebuild_applies_admission_control() {
         Ok(_) => panic!("oversize VM must be refused"),
     }
 }
+
+#[test]
+fn rebuild_refuses_memory_of_the_wrong_size() {
+    let mut monitor = os_monitor();
+    let mut image = capture(&monitor, true).expect("capture");
+    image.memory.truncate(image.memory.len() - 512);
+    match rebuild(image, MemSource::Image) {
+        Err(e) => assert_eq!(e.what(), "memory image size disagrees with configuration"),
+        Ok(_) => panic!("short memory image must be refused"),
+    }
+    let mut image = capture(&monitor, false).expect("capture");
+    image.config.mem_bytes += 512;
+    let forked = monitor.machine_mut().fork_mem();
+    match rebuild(image, MemSource::Forked(forked)) {
+        Err(e) => assert_eq!(e.what(), "forked memory size disagrees with configuration"),
+        Ok(_) => panic!("mis-sized fork must be refused"),
+    }
+    assert_eq!(
+        monitor.machine().mem().base_ref_count(),
+        Some(1),
+        "the refused fork was dropped"
+    );
+}

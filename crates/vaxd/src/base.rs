@@ -6,9 +6,14 @@
 //! every request naming it. Construction captures two artifacts from
 //! the same quiescent point:
 //!
-//! * a memory-less [`MonitorImage`] plus the live parent monitor, the
-//!   pair [`WarmBase::fork_child`] turns into a child in O(dirty) — the
-//!   exact `fork_monitor` recipe, amortized: capture once, fork many;
+//! * a memory-less [`MonitorImage`] plus the parent's memory, frozen
+//!   into a copy-on-write template, the pair [`WarmBase::fork_child`]
+//!   turns into a child — the exact `fork_monitor` recipe, amortized:
+//!   capture once, fork many. A fork shares the template through `&self`
+//!   and rebuilds the skeleton around it, so it copies no guest memory
+//!   and concurrent workers fork one base without a lock; the child
+//!   then pays one page copy per page it writes (DESIGN.md §18 gives
+//!   measured stage times);
 //! * the full snapshot bytes, which make [`WarmBase::run_standalone`]
 //!   an *independent* oracle — a restored-from-bytes monitor running
 //!   the same payload must produce bit-identical console output to any
@@ -77,9 +82,10 @@ pub struct WarmBase {
     /// Full snapshot from the same quiescent point (standalone oracle,
     /// persistence).
     snapshot: Vec<u8>,
-    /// The live parent — the copy-on-write memory source. Never run
-    /// again after construction.
-    parent: Monitor,
+    /// The parent's memory at the quiescent point: an overlay over the
+    /// frozen base with no private pages, never written — the
+    /// copy-on-write source every child forks from.
+    mem: vax_mem::PhysMemory,
     /// Real frames one forked child's VM set admits
     /// ([`Monitor::admission_frames`] summed over the base's VMs) —
     /// the per-request cost charged against tenant frame quotas.
@@ -120,17 +126,17 @@ impl WarmBase {
             .map(|v| Monitor::admission_frames(&v.config))
             .sum();
         let vm0_mem_bytes = u64::from(image.vms[0].config.mem_pages) * 512;
-        // Freeze the copy-on-write base now (first fork pays the
-        // O(size) merge) so per-request forks are uniformly cheap and
-        // the Arc ref-count baseline the hygiene tests assert on is
-        // established before the first request.
-        let mut parent = monitor;
-        drop(parent.machine_mut().fork_mem());
+        // Freeze the copy-on-write base now (this first fork pays the
+        // O(size) merge) and keep the empty fork as the template, so
+        // per-request forks share it through `&self` and the Arc
+        // ref-count baseline the hygiene tests assert on (the template's
+        // own reference) is established before the first request.
+        let mem = monitor.machine_mut().fork_mem();
         Ok(WarmBase {
             name: name.to_string(),
             image,
             snapshot,
-            parent,
+            mem,
             frame_cost,
             vm0_mem_bytes,
         })
@@ -196,22 +202,26 @@ impl WarmBase {
         &self.snapshot
     }
 
-    /// The parent's physical memory — the hygiene seam: after every
-    /// child is reaped, `base_ref_count()` must be back to `Some(1)`
-    /// and `resident_pages()` still 0 (the parent is never written).
+    /// The parent's frozen physical memory — the hygiene seam: after
+    /// every child is reaped, `base_ref_count()` must be back to
+    /// `Some(1)` and `resident_pages()` still 0 (it is never written).
     pub fn parent_mem(&self) -> &vax_mem::PhysMemory {
-        self.parent.machine().mem()
+        &self.mem
     }
 
-    /// Forks one copy-on-write child. O(dirty pages): the image skeleton
-    /// is cloned, the memory crosses as a shared mapping.
+    /// Forks one copy-on-write child: the image skeleton is cloned and
+    /// rebuilt around a fork of the parent's frozen memory, which shares
+    /// every page until the child writes it. Takes `&self`, so workers
+    /// fork one base concurrently.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] if reconstruction fails (cannot happen for an
     /// image captured by this base unless memory sizes diverge — a bug).
-    pub fn fork_child(&mut self) -> Result<Monitor, SnapshotError> {
-        let mem = self.parent.machine_mut().fork_mem();
+    pub fn fork_child(&self) -> Result<Monitor, SnapshotError> {
+        let mem = self.mem.fork_frozen().ok_or(SnapshotError::Invalid {
+            what: "warm base memory is not frozen",
+        })?;
         rebuild(self.image.clone(), MemSource::Forked(mem))
     }
 
@@ -285,7 +295,7 @@ mod tests {
 
     #[test]
     fn forked_child_matches_standalone_oracle() {
-        let mut base = tiny_base();
+        let base = tiny_base();
         let payload = print_payload(b"hello from a fork").expect("assembles");
         let standalone = base.run_standalone(&payload, 5_000_000).expect("runs");
         assert_eq!(standalone.status, RunStatus::Halted);
@@ -299,7 +309,7 @@ mod tests {
 
     #[test]
     fn hang_payload_exhausts_budget() {
-        let mut base = tiny_base();
+        let base = tiny_base();
         let payload = hang_payload().expect("assembles");
         let mut child = base.fork_child().expect("forks");
         let out = run_payload(&mut child, &payload, 200_000).expect("runs");
@@ -310,7 +320,7 @@ mod tests {
 
     #[test]
     fn oversize_payload_is_typed_not_a_panic() {
-        let mut base = tiny_base();
+        let base = tiny_base();
         let huge = vec![0u8; base.payload_room() as usize + 1];
         let mut child = base.fork_child().expect("forks");
         assert_eq!(
@@ -341,7 +351,7 @@ mod tests {
     fn empty_payload_halts_immediately() {
         // Zeroed memory decodes as HALT: an empty payload is the nop
         // request. Useful as the cheapest possible liveness probe.
-        let mut base = tiny_base();
+        let base = tiny_base();
         let mut child = base.fork_child().expect("forks");
         let out = run_payload(&mut child, &[], 1_000_000).expect("runs");
         assert_eq!(out.status, RunStatus::Halted);

@@ -236,7 +236,7 @@ pub fn hex_decode(tok: &str) -> Result<Vec<u8>, RequestError> {
     if tok == "-" {
         return Ok(Vec::new());
     }
-    if tok.len() % 2 != 0 {
+    if !tok.len().is_multiple_of(2) {
         return Err(RequestError::BadRequest("odd hex length"));
     }
     let bytes = tok.as_bytes();

@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vax_snap::restore_monitor;
 
 /// Daemon tuning knobs. `Default` suits tests and local serving.
 #[derive(Debug, Clone)]
@@ -89,7 +88,9 @@ struct AcceptQueue {
 }
 
 struct Inner {
-    bases: Mutex<HashMap<String, WarmBase>>,
+    /// Built once in [`Daemon::start`] and never mutated: forking takes
+    /// `&WarmBase`, so workers share it without a lock.
+    bases: HashMap<String, WarmBase>,
     admission: Arc<Admission>,
     stats: DaemonStats,
     stop: AtomicBool,
@@ -106,7 +107,8 @@ impl Inner {
     /// own, minus children legitimately in flight — forks that were
     /// never reaped.
     fn leaked_children(&self) -> u64 {
-        let extra: u64 = lock_unpoisoned(&self.bases)
+        let extra: u64 = self
+            .bases
             .values()
             .map(|b| {
                 b.parent_mem()
@@ -147,7 +149,7 @@ impl Daemon {
             base_map.insert(base.name().to_string(), base);
         }
         let inner = Arc::new(Inner {
-            bases: Mutex::new(base_map),
+            bases: base_map,
             admission: Arc::new(Admission::new(
                 config.default_quota,
                 config.tenant_quotas.clone(),
@@ -217,7 +219,7 @@ impl Daemon {
     /// `(base Arc strong count, parent resident overlay pages)` for the
     /// named base — the fork-reap hygiene seam tests assert on.
     pub fn base_mem_stats(&self, name: &str) -> Option<(Option<usize>, u32)> {
-        lock_unpoisoned(&self.inner.bases).get(name).map(|b| {
+        self.inner.bases.get(name).map(|b| {
             (
                 b.parent_mem().base_ref_count(),
                 b.parent_mem().resident_pages(),
@@ -238,13 +240,11 @@ impl Daemon {
         payload: &[u8],
         budget: u64,
     ) -> Result<RunOutput, RequestError> {
-        let snapshot = lock_unpoisoned(&self.inner.bases)
+        self.inner
+            .bases
             .get(base)
-            .map(|b| b.snapshot_bytes().to_vec())
-            .ok_or_else(|| RequestError::UnknownBase(base.to_string()))?;
-        let mut monitor = restore_monitor(&snapshot)
-            .map_err(|_| RequestError::BadRequest("base snapshot unrestorable"))?;
-        run_payload(&mut monitor, payload, budget)
+            .ok_or_else(|| RequestError::UnknownBase(base.to_string()))?
+            .run_standalone(payload, budget)
     }
 
     /// Graceful shutdown: stop accepting, refuse new requests with
@@ -443,28 +443,18 @@ fn serve_run(
         });
     }
     let started = Instant::now();
-    // Cheap pre-admission lookups under the bases lock.
-    let (frame_cost, payload_room) = {
-        let bases = lock_unpoisoned(&inner.bases);
-        let b = bases
-            .get(base)
-            .ok_or_else(|| RequestError::UnknownBase(base.to_string()))?;
-        (b.frame_cost(), b.payload_room())
-    };
-    if payload.len() as u64 > payload_room {
+    let b = inner
+        .bases
+        .get(base)
+        .ok_or_else(|| RequestError::UnknownBase(base.to_string()))?;
+    if payload.len() as u64 > b.payload_room() {
         return Err(RequestError::PayloadOutOfRange);
     }
     let requested = if budget == 0 { u64::MAX } else { budget };
-    let (ticket, effective_budget) = inner.admission.admit(tenant, frame_cost, requested)?;
-    // Fork under the lock (O(dirty pages)); run outside it.
-    let mut child = {
-        let mut bases = lock_unpoisoned(&inner.bases);
-        let b = bases
-            .get_mut(base)
-            .ok_or_else(|| RequestError::UnknownBase(base.to_string()))?;
-        b.fork_child()
-            .map_err(|_| RequestError::BadRequest("base fork failed"))?
-    };
+    let (ticket, effective_budget) = inner.admission.admit(tenant, b.frame_cost(), requested)?;
+    let mut child = b
+        .fork_child()
+        .map_err(|_| RequestError::BadRequest("base fork failed"))?;
     inner.stats.forks_total.fetch_add(1, Ordering::Relaxed);
     inner.in_flight.fetch_add(1, Ordering::SeqCst);
     let result = run_payload(&mut child, payload, effective_budget);

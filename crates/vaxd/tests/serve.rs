@@ -214,12 +214,13 @@ fn tenant_over_frame_quota_is_refused_while_neighbor_serves() {
 
 #[test]
 fn concurrency_quota_and_budget_statuses() {
-    let mut config = DaemonConfig::default();
-    config.default_quota = TenantQuota {
-        max_cycle_budget: 100_000,
-        ..TenantQuota::default()
-    };
-    let daemon = start_daemon(config);
+    let daemon = start_daemon(DaemonConfig {
+        default_quota: TenantQuota {
+            max_cycle_budget: 100_000,
+            ..TenantQuota::default()
+        },
+        ..DaemonConfig::default()
+    });
     let mut client = Client::connect(daemon.local_addr());
 
     // A spin too long for the clamped budget: the run is cut off and
