@@ -11,6 +11,11 @@
 //! * `mapped_loop` — the same machine with a host-built system page
 //!   table and translation on, touching a multi-page buffer so the TLB
 //!   actually works for a living and the hit rate is a real number.
+//! * `movc3_loop` — the mapped machine copying 512-byte strings between
+//!   two pages with MOVC3. The cached tiers move each page run with one
+//!   memory copy while the interpreter keeps the byte loop, so their
+//!   throughput ratio is a property of the code, not of the host; CI
+//!   gates it.
 //! * `vm_mtpr_ipl` — an MTPR-to-IPL loop run as a guest under the VMM
 //!   with exit tracing enabled: reports the VM-exit breakdown and the
 //!   measured emulation cost against the bare-machine cost of the same
@@ -115,6 +120,25 @@ fn best_tier_sweep(
         .collect()
 }
 
+/// Asserts that every mapped-run tier in `others` retired what `cache`
+/// did, in the same simulated time, with the same TLB hit/miss counts.
+fn assert_mapped_tiers_agree(cache: &Measurement, others: &[&Measurement]) {
+    for m in others {
+        assert_eq!(
+            m.instructions, cache.instructions,
+            "mapped workload must retire fully in every tier"
+        );
+        assert_eq!(
+            m.simulated_cycles, cache.simulated_cycles,
+            "execution tier must not change mapped simulated time"
+        );
+        assert_eq!(
+            m.tlb_hit_rate, cache.tlb_hit_rate,
+            "execution tier must not change TLB hit/miss counting"
+        );
+    }
+}
+
 /// Simulated cycles a bare (unvirtualized) machine spends on one run of
 /// `program` in kernel mode.
 fn bare_cycles(program: &vax_asm::Program) -> u64 {
@@ -201,10 +225,10 @@ fn json_opt(v: Option<f64>) -> String {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (loop_iters, mapped_outer, mtpr_iters, reps) = if quick {
-        (20_000u32, 200u32, 500u32, 2)
+    let (loop_iters, mapped_outer, movc3_iters, mtpr_iters, reps) = if quick {
+        (20_000u32, 200u32, 1_000u32, 500u32, 2)
     } else {
-        (200_000, 2_000, 2_000, 6)
+        (200_000, 2_000, 10_000, 2_000, 6)
     };
 
     // A long-immediate compute kernel: three-operand forms with 32-bit
@@ -254,6 +278,24 @@ fn main() {
     )
     .unwrap();
 
+    // MOVC3 between two pages, both operands off a page boundary, so
+    // each string is three page runs. MOVC3 clobbers R0-R5.
+    let movc3 = vax_asm::assemble_text(
+        &format!(
+            "
+                movl #{movc3_iters}, r9
+            top:
+                movc3 #512, @#{src:#x}, @#{dst:#x}
+                sobgtr r9, top
+                halt
+            ",
+            src = S_BASE + 0x8000 + 0x40,
+            dst = S_BASE + 0xA000 + 0x100,
+        ),
+        S_BASE + 0x1000,
+    )
+    .unwrap();
+
     let mut sweep = best_tier_sweep(
         &compute,
         reps,
@@ -293,20 +335,7 @@ fn main() {
     let mtrans = msweep.pop().unwrap();
     let mon = msweep.pop().unwrap();
     let moff = msweep.pop().unwrap();
-    for m in [&moff, &mtrans] {
-        assert_eq!(
-            m.instructions, mon.instructions,
-            "mapped workload must retire fully in every tier"
-        );
-        assert_eq!(
-            m.simulated_cycles, mon.simulated_cycles,
-            "execution tier must not change mapped simulated time"
-        );
-        assert_eq!(
-            m.tlb_hit_rate, mon.tlb_hit_rate,
-            "execution tier must not change TLB hit/miss counting"
-        );
-    }
+    assert_mapped_tiers_agree(&mon, &[&moff, &mtrans]);
     assert!(
         mtrans.trans_stats.blocks_executed > 0,
         "trans tier must run superblocks on the mapped loop"
@@ -320,6 +349,23 @@ fn main() {
         .expect("mapped workload must exercise the TLB");
     let mapped_speedup = mon.instrs_per_sec / moff.instrs_per_sec;
     let mapped_trans_speedup = mtrans.instrs_per_sec / mon.instrs_per_sec;
+
+    let mut csweep = best_tier_sweep(
+        &movc3,
+        reps,
+        true,
+        &[ExecTier::Interp, ExecTier::Cache, ExecTier::Trans],
+    );
+    let ctrans = csweep.pop().unwrap();
+    let con = csweep.pop().unwrap();
+    let coff = csweep.pop().unwrap();
+    assert_mapped_tiers_agree(&con, &[&coff, &ctrans]);
+    assert_eq!(
+        con.instructions,
+        2 * movc3_iters as u64 + 1,
+        "MOVC3 loop must retire fully"
+    );
+    let movc3_speedup = con.instrs_per_sec / coff.instrs_per_sec;
 
     let vm = run_vm_mtpr(mtpr_iters);
 
@@ -379,6 +425,15 @@ fn main() {
         mtrans.trans_stats.side_exit_smc
     );
     println!("  tlb hit rate:     {mapped_rate:>12.4}");
+    println!(
+        "movc3 loop, {} simulated instructions, tlb hit rate {:.4}",
+        con.instructions,
+        con.tlb_hit_rate.unwrap_or(0.0)
+    );
+    println!(
+        "  instrs/sec: {:.0} interp, {:.0} cache ({movc3_speedup:.2}x), {:.0} trans",
+        coff.instrs_per_sec, con.instrs_per_sec, ctrans.instrs_per_sec
+    );
     println!("vm mtpr-ipl loop, {} exits traced", vm.mtpr_ipl_exits);
     println!(
         "  exits: {} emulation / {} exception / {} interrupt",
@@ -420,6 +475,12 @@ fn main() {
          \"speedup_vs_cache\": {:.3},\n        \"blocks_executed\": {},\n        \
          \"chain_hits\": {},\n        \"chain_links_severed\": {},\n        \
          \"side_exit_tlb_miss\": {},\n        \"side_exit_smc\": {}\n      }}\n    }}\n  }},\n  \
+         \"movc3_loop\": {{\n    \"simulated_instructions\": {},\n    \
+         \"simulated_cycles\": {},\n    \"tlb_hit_rate\": {},\n    \
+         \"cache_vs_interp\": {:.3},\n    \
+         \"exec_tier\": {{\n      \"interp\": {{ \"instrs_per_sec\": {:.0} }},\n      \
+         \"cache\": {{ \"instrs_per_sec\": {:.0} }},\n      \
+         \"trans\": {{ \"instrs_per_sec\": {:.0} }}\n    }}\n  }},\n  \
          \"vm_mtpr_ipl\": {{\n    \"vm_exits\": {{\n      \"emulation_traps\": {},\n      \
          \"exception_exits\": {},\n      \"interrupt_exits\": {}\n    }},\n    \
          \"decode_cache_invalidations\": {},\n    \"mtpr_ipl_exits\": {},\n    \
@@ -460,6 +521,13 @@ fn main() {
         mtrans.trans_stats.chain_links_severed,
         mtrans.trans_stats.side_exit_tlb_miss,
         mtrans.trans_stats.side_exit_smc,
+        con.instructions,
+        con.simulated_cycles,
+        json_opt(con.tlb_hit_rate),
+        movc3_speedup,
+        coff.instrs_per_sec,
+        con.instrs_per_sec,
+        ctrans.instrs_per_sec,
         vm.emulation_traps,
         vm.exception_exits,
         vm.interrupt_exits,

@@ -6,9 +6,11 @@
 use crate::decode::{mask_width, Abort, DecOp, Decoded};
 use crate::event::VmTrapInfo;
 use crate::machine::Machine;
+use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
 use vax_arch::{
     AccessMode, ArithmeticCode, DataType, Exception, Ipr, MachineVariant, Opcode, Psl, VirtAddr,
 };
+use vax_mem::MemFault;
 
 /// What execution produced.
 #[derive(Debug)]
@@ -44,6 +46,90 @@ impl Machine {
         for (r, v) in saved.0.iter().rev() {
             self.set_reg(*r as usize, *v);
         }
+    }
+
+    /// MOVC3's data movement: `len` bytes from `src` to `dst`, as if
+    /// through a buffer (VAX SRM: overlap "does not affect the result").
+    ///
+    /// A destination inside the source, above it, is copied from the
+    /// highest byte down, byte by byte. Any other move goes a *page run*
+    /// at a time: the bytes up to the nearer of the two page ends. A
+    /// run's first byte takes the full read/write path, so every TLB
+    /// fill, shadow fill, modify fault, `PTE<M>` refresh and VM exit
+    /// lands where the byte loop puts it. On the cached tiers the rest
+    /// of the run is then one memory copy whenever [`Machine::copy_run`]
+    /// proves the byte loop would only have hit; the interpreter keeps
+    /// the byte loop as the oracle the tier fuzzers compare against.
+    fn move_string(
+        &mut self,
+        src: VirtAddr,
+        dst: VirtAddr,
+        len: u32,
+        mode: AccessMode,
+    ) -> Result<(), MemFault> {
+        if (1..len).contains(&dst.raw().wrapping_sub(src.raw())) {
+            for i in (0..len).rev() {
+                self.move_byte(src.wrapping_add(i), dst.wrapping_add(i), mode)?;
+            }
+            return Ok(());
+        }
+        let mut i = 0;
+        while i < len {
+            let (s, t) = (src.wrapping_add(i), dst.wrapping_add(i));
+            let run = (PAGE_BYTES - s.byte_offset())
+                .min(PAGE_BYTES - t.byte_offset())
+                .min(len - i);
+            self.move_byte(s, t, mode)?;
+            let (s, t, rest) = (s.wrapping_add(1), t.wrapping_add(1), run - 1);
+            if rest == 0 || !self.icache_enabled || !self.copy_run(s, t, rest) {
+                for k in 0..rest {
+                    self.move_byte(s.wrapping_add(k), t.wrapping_add(k), mode)?;
+                }
+            }
+            i += run;
+        }
+        Ok(())
+    }
+
+    fn move_byte(
+        &mut self,
+        src: VirtAddr,
+        dst: VirtAddr,
+        mode: AccessMode,
+    ) -> Result<(), MemFault> {
+        let b = self.read_virt(src, 1, mode)?;
+        self.write_virt(dst, b, 1, mode)
+    }
+
+    /// Copies the `n` bytes at `src` to `dst`, the rest of a page run,
+    /// in one go — but only when the byte loop's `2n` accesses would
+    /// all have hit the TLB at no added cost: the translated tier's
+    /// inline check passes for both (entries present, source readable,
+    /// destination writable and already modified, both runs in RAM),
+    /// the destination does not sit physically just above the source
+    /// (where the forward byte loop smears), and it is not a marked code
+    /// page (so self-modifying-code notices stay one per byte). Charges
+    /// the loop's cycles and replays its TLB hits. False, with nothing
+    /// done, otherwise.
+    fn copy_run(&mut self, src: VirtAddr, dst: VirtAddr, n: u32) -> bool {
+        let mapped = self.mmu.mapen();
+        let Ok(ps) = self.uop_mem_check(src.raw(), n, false, mapped) else {
+            return false;
+        };
+        let Ok(pd) = self.uop_mem_check(dst.raw(), n, true, mapped) else {
+            return false;
+        };
+        if (1..n).contains(&pd.wrapping_sub(ps))
+            || self.mem.is_code_page(pd >> PAGE_SHIFT)
+            || self.mem.copy_within(ps, pd, n).is_err()
+        {
+            return false;
+        }
+        self.cycles += 2 * u64::from(n) * self.costs.memory_reference;
+        if mapped {
+            self.mmu.tlb_mut().record_hits(2 * u64::from(n));
+        }
+        true
     }
 
     fn make_vm_trap(&self, d: &Decoded) -> Box<VmTrapInfo> {
@@ -499,10 +585,12 @@ impl Machine {
                 let DecOp::Addr(dst) = d.operands[2] else {
                     unreachable!()
                 };
-                let _ = self.begin_commit(d);
-                for i in 0..len {
-                    let b = self.read_virt(src.wrapping_add(i), 1, cur_mode)?;
-                    self.write_virt(dst.wrapping_add(i), b, 1, cur_mode)?;
+                let saved = self.begin_commit(d);
+                if let Err(e) = self.move_string(src, dst, len, cur_mode) {
+                    // Restartable: the fault handler's REI re-evaluates
+                    // the operands, so undo their register side effects.
+                    self.rollback(saved);
+                    return Err(e.into());
                 }
                 self.cycles += self.costs.string_per_byte * len as u64;
                 self.set_reg(0, 0);

@@ -688,9 +688,15 @@ impl Machine {
     /// (the TLB is probed counter-free; hits are replayed at retire).
     /// Every rejected shape is exactly a case where the interpreter would
     /// charge differently, fault, or run slow-path machinery — so it
-    /// bails.
+    /// bails. MOVC3's page-run copy (`exec.rs`) asks the same question.
     #[inline(always)]
-    fn uop_mem_check(&self, va: u32, len: u32, write: bool, mapped: bool) -> Result<u32, UopBail> {
+    pub(crate) fn uop_mem_check(
+        &self,
+        va: u32,
+        len: u32,
+        write: bool,
+        mapped: bool,
+    ) -> Result<u32, UopBail> {
         let pa = if mapped {
             if (va & (PAGE_BYTES - 1)) + len > PAGE_BYTES {
                 return Err(UopBail::PageCross);

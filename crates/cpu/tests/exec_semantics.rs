@@ -285,13 +285,32 @@ fn movc3_handles_forward_overlap() {
         movc3 #8, @#0x3000, @#0x3002
         halt
         ");
-    // Forward byte-by-byte copy semantics.
+    // Overlap does not affect the result (VAX SRM): the destination
+    // holds the original eight bytes, not the forward loop's smear of
+    // the first two (0x3344_3344).
     assert_eq!(m.mem().read_u16(0x3002).unwrap(), 0x3344);
+    assert_eq!(m.mem().read_u32(0x3004).unwrap(), 0x7788_1122);
     assert_eq!(m.reg(0), 0);
     assert_eq!(m.reg(1), 0x3008);
     assert_eq!(m.reg(3), 0x300A);
     let (_, z, _, _) = cc(&m);
     assert!(z);
+}
+
+#[test]
+fn movc3_onto_a_code_page_posts_one_notice_per_byte() {
+    // Decoding this code marks page 8 as a code page. The page-run copy
+    // stays off marked pages, so each of the 100 bytes stored there
+    // still posts its self-modifying-code notice, as the byte loop does.
+    let p = assemble_text("movc3 #100, @#0x3000, @#0x1100\n halt", 0x1000).expect("assembles");
+    let mut m = Machine::new(MachineVariant::Standard, 256 * 1024);
+    m.mem_mut().write_slice(0x1000, &p.bytes).unwrap();
+    let mut psl = Psl::new();
+    psl.set_ipl(31);
+    m.set_psl(psl);
+    m.set_pc(0x1000);
+    assert!(matches!(m.step(), StepEvent::Ok));
+    assert_eq!(m.mem_mut().take_dirty_code_pages(), vec![8; 100]);
 }
 
 #[test]

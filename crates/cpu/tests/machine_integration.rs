@@ -556,6 +556,47 @@ fn movc3_copies_and_sets_registers() {
 }
 
 #[test]
+fn movc3_faulting_mid_copy_restarts_with_its_operands_intact() {
+    let mut m = mapped_machine(MachineVariant::Standard, Protection::Uw);
+    let pattern: Vec<u8> = (0..0x300u32).map(|i| (i * 7 + 1) as u8).collect();
+    m.mem_mut().write_slice(0x5000, &pattern).unwrap();
+    // S page 45 starts invalid: the copy faults after its first 0x200
+    // bytes. The handler validates it, pops the fault parameters and
+    // restarts the MOVC3, whose `(r1)+` must see R1 as it was.
+    let spt_45 = SPT_PA + 4 * 45;
+    let valid = Pte::build(45, Protection::Uw, true, true).raw();
+    m.mem_mut()
+        .write_u32(spt_45, Pte::build(45, Protection::Uw, false, false).raw())
+        .unwrap();
+    let handler = load(
+        &mut m,
+        &format!(
+            "incl r8\n movl #{valid:#x}, @#{:#x}\n addl2 #8, sp\n rei",
+            0x8000_0000 | spt_45
+        ),
+        0x8000_2000,
+    );
+    m.mem_mut()
+        .write_u32(
+            SCB_PA + ScbVector::TranslationNotValid.offset(),
+            handler.base,
+        )
+        .unwrap();
+    load(
+        &mut m,
+        "movl #0x80005000, r1\n movc3 #0x300, (r1)+, @#0x80005800\n halt",
+        0x8000_0400,
+    );
+    set_mode(&mut m, AccessMode::Kernel, 0x8000_1800);
+    m.set_pc(0x8000_0400);
+    run_to_halt(&mut m, 100);
+    assert_eq!(m.reg(8), 1, "one translation-not-valid fault");
+    assert_eq!(&*m.mem().read_slice(0x5800, 0x300).unwrap(), &pattern[..]);
+    assert_eq!(m.reg(1), 0x8000_5300);
+    assert_eq!(m.reg(3), 0x8000_5B00);
+}
+
+#[test]
 fn nonexistent_memory_is_machine_check() {
     let mut m = mapped_machine(MachineVariant::Standard, Protection::Uw);
     let handler = load(&mut m, "h: movl #1, r8\n halt", 0x8000_2000);

@@ -426,6 +426,13 @@ impl PhysMemory {
         self.code_pages[pfn as usize] = true;
     }
 
+    /// True if page `pfn` is marked as backing decoded-instruction-cache
+    /// entries (false past the end).
+    #[inline]
+    pub fn is_code_page(&self, pfn: u32) -> bool {
+        self.code_pages.get(pfn as usize).copied().unwrap_or(false)
+    }
+
     /// Clears a page's code mark (after its cache entries are dropped).
     pub fn clear_code_page(&mut self, pfn: u32) {
         self.code_pages[pfn as usize] = false;
@@ -650,6 +657,45 @@ impl PhysMemory {
             Some(cow) => cow.for_each_mut(i, data.len(), |at, dst| {
                 dst.copy_from_slice(&data[at..at + dst.len()]);
             }),
+        }
+        Ok(())
+    }
+
+    /// Copies `len` bytes from `src` to `dst` with `memmove` semantics
+    /// (an overlapping copy moves the original bytes), through the one
+    /// store path, so code-page marks, the write tracker and the
+    /// copy-on-write overlay see it as any other write. It is staged a
+    /// page at a time through a stack buffer and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::NonExistent`] if either range extends beyond memory;
+    /// nothing is written then.
+    pub fn copy_within(&mut self, src: u32, dst: u32, len: u32) -> Result<(), MemFault> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        let mut buf = [0; PAGE];
+        let chunks = len.div_ceil(PAGE_BYTES);
+        for c in 0..chunks {
+            // From the end when the destination lies above the source,
+            // so no chunk reads bytes an earlier chunk wrote.
+            let at = PAGE_BYTES * if dst > src { chunks - 1 - c } else { c };
+            let buf = &mut buf[..(len - at).min(PAGE_BYTES) as usize];
+            self.read_into(src + at, buf)?;
+            self.write_bytes(dst + at, buf)?;
+        }
+        Ok(())
+    }
+
+    /// Fills `out` from the bytes at `pa` onward, a page piece at a time.
+    fn read_into(&self, pa: u32, out: &mut [u8]) -> Result<(), MemFault> {
+        let mut done = 0;
+        while done < out.len() {
+            let at = pa + done as u32;
+            let tail = self.page_tail(at).ok_or(MemFault::NonExistent { pa: at })?;
+            let n = tail.len().min(out.len() - done);
+            out[done..done + n].copy_from_slice(&tail[..n]);
+            done += n;
         }
         Ok(())
     }
@@ -1028,5 +1074,51 @@ mod tests {
         assert!(matches!(two, std::borrow::Cow::Owned(_)));
         assert_eq!((two[0], two[PAGE_BYTES as usize]), (5, 6));
         assert_eq!(child.resident_page_numbers(), vec![2, 5, 6]);
+    }
+
+    #[test]
+    fn copy_within_is_memmove_dense_and_forked() {
+        let pattern: Vec<u8> = (0..8 * PAGE_BYTES)
+            .map(|i| (i * 7 + i / 251) as u8)
+            .collect();
+        for (src, dst, len) in [
+            (10, 700, 300),
+            (700, 10, 300),
+            (100, 101, 1200),
+            (1301, 100, 1200),
+            (PAGE_BYTES - 3, 3 * PAGE_BYTES + 5, 2 * PAGE_BYTES + 9),
+            (40, 40, 64),
+        ] {
+            let mut want = pattern.clone();
+            want.copy_within(src as usize..(src + len) as usize, dst as usize);
+            let mut dense = PhysMemory::from_bytes(pattern.clone());
+            dense.copy_within(src, dst, len).unwrap();
+            assert_eq!(dense, PhysMemory::from_bytes(want.clone()));
+            let mut parent = PhysMemory::from_bytes(pattern.clone());
+            let mut child = parent.fork();
+            // One private page, same bytes: the arena and base mix.
+            child.write_u8(dst, pattern[dst as usize]).unwrap();
+            child.copy_within(src, dst, len).unwrap();
+            assert_eq!(child, PhysMemory::from_bytes(want));
+            assert_eq!(parent, PhysMemory::from_bytes(pattern.clone()));
+        }
+    }
+
+    #[test]
+    fn copy_within_notes_writes_and_checks_both_ranges() {
+        let mut m = PhysMemory::new(4 * PAGE_BYTES);
+        m.write_u8(0, 9).unwrap();
+        m.note_code_page(2);
+        assert!(m.is_code_page(2) && !m.is_code_page(1) && !m.is_code_page(99));
+        m.enable_write_tracking();
+        m.copy_within(0, 2 * PAGE_BYTES - 1, 2).unwrap();
+        assert_eq!(m.take_dirty_code_pages(), vec![2]);
+        assert_eq!(m.dirty_pages(), vec![1, 2]);
+        assert_eq!(m.read_u8(2 * PAGE_BYTES - 1).unwrap(), 9);
+        // Either range past the end faults before any byte moves.
+        assert!(m.copy_within(0, 4 * PAGE_BYTES - 1, 2).is_err());
+        assert!(m.copy_within(4 * PAGE_BYTES - 1, 0, 2).is_err());
+        assert_eq!(m.read_u8(0).unwrap(), 9);
+        assert_eq!(m.dirty_pages(), vec![1, 2]);
     }
 }
