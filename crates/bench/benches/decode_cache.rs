@@ -4,11 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vax_arch::{MachineVariant, Psl};
-use vax_cpu::{Machine, StepEvent};
+use vax_cpu::{ExecTier, Machine, StepEvent};
 
-fn machine_running(program: &vax_asm::Program, decode_cache: bool) -> Machine {
+fn machine_running(program: &vax_asm::Program, tier: ExecTier) -> Machine {
     let mut m = Machine::new(MachineVariant::Standard, 256 * 1024);
-    m.set_decode_cache_enabled(decode_cache);
+    m.set_exec_tier(tier);
     m.mem_mut()
         .write_slice(program.base, &program.bytes)
         .unwrap();
@@ -43,10 +43,13 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("decode_cache");
     g.throughput(Throughput::Elements(instructions));
-    for (name, decode_cache) in [("memory_loop", true), ("memory_loop_nocache", false)] {
+    for (name, tier) in [
+        ("memory_loop", ExecTier::Cache),
+        ("memory_loop_nocache", ExecTier::Interp),
+    ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut m = machine_running(&memory_loop, decode_cache);
+                let mut m = machine_running(&memory_loop, tier);
                 while m.step() == StepEvent::Ok {}
                 assert_eq!(m.counters().instructions, instructions);
                 m.reg(3)

@@ -385,7 +385,7 @@ impl Monitor {
     /// already-tracking machine; re-enabling after a disable starts
     /// from a clean bitmap.
     pub fn enable_dirty_tracking(&mut self) {
-        self.machine.enable_write_tracking();
+        self.machine.mem_mut().enable_write_tracking();
     }
 
     /// Disables write tracking, discarding the dirty/touched bitmaps.
@@ -393,13 +393,13 @@ impl Monitor {
     /// for its working-set telemetry).
     pub fn disable_dirty_tracking(&mut self) {
         if self.machine.prof().is_none() {
-            self.machine.disable_write_tracking();
+            self.machine.mem_mut().disable_write_tracking();
         }
     }
 
     /// Whether write tracking is currently enabled.
     pub fn dirty_tracking_enabled(&self) -> bool {
-        self.machine.write_tracking_enabled()
+        self.machine.mem().write_tracking_enabled()
     }
 
     /// Selects the execution tier for this monitor's real machine.

@@ -6,7 +6,7 @@
 use crate::decode::{mask_width, Abort, DecOp, Decoded};
 use crate::event::VmTrapInfo;
 use crate::machine::Machine;
-use vax_arch::va::{PAGE_BYTES, PAGE_SHIFT};
+use vax_arch::va::PAGE_BYTES;
 use vax_arch::{
     AccessMode, ArithmeticCode, DataType, Exception, Ipr, MachineVariant, Opcode, Psl, VirtAddr,
 };
@@ -106,11 +106,9 @@ impl Machine {
     /// all have hit the TLB at no added cost: the translated tier's
     /// inline check passes for both (entries present, source readable,
     /// destination writable and already modified, both runs in RAM),
-    /// the destination does not sit physically just above the source
-    /// (where the forward byte loop smears), and it is not a marked code
-    /// page (so self-modifying-code notices stay one per byte). Charges
-    /// the loop's cycles and replays its TLB hits. False, with nothing
-    /// done, otherwise.
+    /// and the destination does not sit physically just above the source
+    /// (where the forward byte loop smears). Charges the loop's cycles
+    /// and replays its TLB hits. False, with nothing done, otherwise.
     fn copy_run(&mut self, src: VirtAddr, dst: VirtAddr, n: u32) -> bool {
         let mapped = self.mmu.mapen();
         let Ok(ps) = self.uop_mem_check(src.raw(), n, false, mapped) else {
@@ -119,10 +117,7 @@ impl Machine {
         let Ok(pd) = self.uop_mem_check(dst.raw(), n, true, mapped) else {
             return false;
         };
-        if (1..n).contains(&pd.wrapping_sub(ps))
-            || self.mem.is_code_page(pd >> PAGE_SHIFT)
-            || self.mem.copy_within(ps, pd, n).is_err()
-        {
+        if (1..n).contains(&pd.wrapping_sub(ps)) || self.mem.copy_within(ps, pd, n).is_err() {
             return false;
         }
         self.cycles += 2 * u64::from(n) * self.costs.memory_reference;

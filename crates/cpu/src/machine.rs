@@ -369,22 +369,6 @@ impl Machine {
         self.exec_tier
     }
 
-    /// Enables or disables the decoded-instruction cache — the historical
-    /// two-tier switch, now an alias for [`Machine::set_exec_tier`] with
-    /// [`ExecTier::Cache`]/[`ExecTier::Interp`].
-    pub fn set_decode_cache_enabled(&mut self, on: bool) {
-        self.set_exec_tier(if on {
-            ExecTier::Cache
-        } else {
-            ExecTier::Interp
-        });
-    }
-
-    /// Whether the decoded-instruction cache is enabled.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.icache_enabled
-    }
-
     /// Drops every decoded-instruction cache entry and translated
     /// superblock. Embedders (the VMM) call this after rewriting guest
     /// page tables or memory images outside the machine's own store paths.
@@ -401,15 +385,16 @@ impl Machine {
         self.prof_event(ProfEventKind::Invalidate, 0, 0);
     }
 
-    /// Drains self-modifying-code notifications: every physical page
-    /// written since the last drain loses its decode-cache templates and
-    /// translated superblocks before either cache is trusted again.
+    /// Drains self-modifying-code notices: every code page written since
+    /// the last drain loses its decode-cache templates and translated
+    /// superblocks before either cache is trusted again. The notice
+    /// already cleared the page's code mark; the next decode there sets
+    /// it again.
     pub(crate) fn drain_dirty_code(&mut self) {
         if self.mem.has_dirty_code() {
             for pfn in self.mem.take_dirty_code_pages() {
                 self.icache.invalidate_page(pfn);
                 self.trans.invalidate_page(pfn);
-                self.mem.clear_code_page(pfn);
                 self.prof_event(ProfEventKind::SmcDrain, pfn << vax_arch::PAGE_SHIFT, pfn);
             }
         }
@@ -645,29 +630,6 @@ impl Machine {
     /// Whether profiling is enabled.
     pub fn profiling_enabled(&self) -> bool {
         self.prof.is_on()
-    }
-
-    /// Enables working-set write tracking on memory without the
-    /// profiler — the seam incremental snapshots consume (each
-    /// `snapshot_delta` drains [`vax_mem::PhysMemory::take_dirty_pages`]).
-    /// Re-enabling resets the tracker. Observational only, like
-    /// profiling: architectural state, cycles, and counters are
-    /// unaffected.
-    pub fn enable_write_tracking(&mut self) {
-        self.mem.enable_write_tracking();
-    }
-
-    /// Disables working-set write tracking, dropping the tracker. A
-    /// no-op while profiling is on would leave the profiler's dirty-rate
-    /// sampling blind, so this also applies under profiling; prefer
-    /// [`Machine::disable_profiling`] to tear both down together.
-    pub fn disable_write_tracking(&mut self) {
-        self.mem.disable_write_tracking();
-    }
-
-    /// Whether working-set write tracking is enabled.
-    pub fn write_tracking_enabled(&self) -> bool {
-        self.mem.write_tracking_enabled()
     }
 
     /// The profiler state, when enabled.
@@ -1342,19 +1304,22 @@ mod tests {
     #[test]
     fn state_round_trip_carries_write_tracking_enablement() {
         let mut m = Machine::new(MachineVariant::Standard, 4096);
-        m.enable_write_tracking();
+        m.mem_mut().enable_write_tracking();
         let state = m.export_state();
         assert!(state.write_tracking);
 
         let mut restored = Machine::new(MachineVariant::Standard, 4096);
         restored.import_state(state);
-        assert!(restored.write_tracking_enabled(), "import re-arms tracking");
+        assert!(
+            restored.mem().write_tracking_enabled(),
+            "import re-arms tracking"
+        );
         restored.mem_mut().write_u8(0, 1).unwrap();
         assert_eq!(restored.mem().dirty_page_count(), 1);
 
         // And the off state imports as off.
-        m.disable_write_tracking();
+        m.mem_mut().disable_write_tracking();
         restored.import_state(m.export_state());
-        assert!(!restored.write_tracking_enabled());
+        assert!(!restored.mem().write_tracking_enabled());
     }
 }

@@ -298,10 +298,10 @@ fn movc3_handles_forward_overlap() {
 }
 
 #[test]
-fn movc3_onto_a_code_page_posts_one_notice_per_byte() {
-    // Decoding this code marks page 8 as a code page. The page-run copy
-    // stays off marked pages, so each of the 100 bytes stored there
-    // still posts its self-modifying-code notice, as the byte loop does.
+fn movc3_onto_a_code_page_posts_one_notice_per_page() {
+    // Decoding this code marks page 8 as a code page. The first of the
+    // 100 bytes stored there posts the self-modifying-code notice and
+    // clears the mark, so the page is drained once.
     let p = assemble_text("movc3 #100, @#0x3000, @#0x1100\n halt", 0x1000).expect("assembles");
     let mut m = Machine::new(MachineVariant::Standard, 256 * 1024);
     m.mem_mut().write_slice(0x1000, &p.bytes).unwrap();
@@ -310,7 +310,7 @@ fn movc3_onto_a_code_page_posts_one_notice_per_byte() {
     m.set_psl(psl);
     m.set_pc(0x1000);
     assert!(matches!(m.step(), StepEvent::Ok));
-    assert_eq!(m.mem_mut().take_dirty_code_pages(), vec![8; 100]);
+    assert_eq!(m.mem_mut().take_dirty_code_pages(), vec![8]);
 }
 
 #[test]

@@ -207,20 +207,13 @@ fn set_costs_drops_translations_and_stays_identical() {
 }
 
 #[test]
-fn tier_api_round_trips_and_cache_alias_works() {
+fn tier_api_round_trips() {
     let mut m = Machine::new(MachineVariant::Standard, 64 * 1024);
     assert_eq!(m.exec_tier(), ExecTier::Cache);
     for tier in [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans] {
         m.set_exec_tier(tier);
         assert_eq!(m.exec_tier(), tier);
     }
-    // The legacy toggle aliases the tier selection.
-    m.set_decode_cache_enabled(false);
-    assert_eq!(m.exec_tier(), ExecTier::Interp);
-    assert!(!m.decode_cache_enabled());
-    m.set_decode_cache_enabled(true);
-    assert_eq!(m.exec_tier(), ExecTier::Cache);
-    assert!(m.decode_cache_enabled());
     // Name round-trip for the CLI flag.
     for tier in [ExecTier::Interp, ExecTier::Cache, ExecTier::Trans] {
         assert_eq!(ExecTier::from_name(tier.name()), Some(tier));

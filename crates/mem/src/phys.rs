@@ -50,19 +50,38 @@ pub struct PhysMemory {
     size: u32,
     /// The shared frozen base and private pages, once forked.
     cow: Option<Overlay>,
-    /// Pages whose contents back decoded-instruction-cache entries. A
-    /// write to a marked page is recorded in `dirty_code` so the CPU can
-    /// invalidate the stale cache entries before its next decode
-    /// (self-modifying code, DMA, VMM pokes — anything that mutates
-    /// physical memory funnels through the write methods below).
-    code_pages: Vec<bool>,
-    /// Marked pages written since the last [`PhysMemory::take_dirty_code_pages`].
+    /// One state byte per page, shared by every observer of writes:
+    /// the decode cache's [`CODE`] marks and the working-set tracker's
+    /// [`DIRTY`] and [`TOUCHED`] bits. Anything that mutates physical
+    /// memory (stores, DMA, VMM pokes) funnels through
+    /// [`PhysMemory::note_write`], which reads one byte per page written.
+    page_state: Vec<u8>,
+    /// Code pages written since the last
+    /// [`PhysMemory::take_dirty_code_pages`], once per mark: the notice
+    /// clears the page's [`CODE`] bit.
     dirty_code: Vec<u32>,
-    /// Optional working-set write tracker (profiling / incremental
-    /// snapshots). `None` — the default — costs one predictable branch
-    /// per write; see [`PhysMemory::enable_write_tracking`].
-    tracker: Option<Box<WriteTracker>>,
+    /// Whether working-set tracking is on (off by default). While off,
+    /// no page is [`DIRTY`] or [`TOUCHED`] and the fields below are empty.
+    tracking: bool,
+    /// Pages now [`DIRTY`], in the order they turned dirty, so a drain
+    /// costs the dirty pages, not the memory size.
+    dirty: Vec<u32>,
+    /// Number of pages now [`TOUCHED`].
+    touched_count: u32,
+    /// Clean-to-dirty transitions since tracking was enabled; drains do
+    /// not reset it.
+    dirty_events: u64,
 }
+
+/// Page-state bit: the page backs decoded-instruction-cache entries. Its
+/// next write posts a self-modifying-code notice and clears the bit.
+const CODE: u8 = 1;
+/// Page-state bit: written since tracking was enabled or the dirty set
+/// was last drained.
+const DIRTY: u8 = 2;
+/// Page-state bit: written since tracking was enabled. Set with
+/// [`DIRTY`] and never drained, so a dirty page is always touched.
+const TOUCHED: u8 = 4;
 
 /// The copy-on-write view of a forked memory: a frozen base shared with
 /// fork relatives, plus the pages this memory has written since.
@@ -178,42 +197,6 @@ impl Overlay {
     }
 }
 
-/// Working-set telemetry state: which pages the guest has written.
-///
-/// Purely observational — it is written to by the same
-/// [`PhysMemory::note_write`] funnel that feeds self-modifying-code
-/// tracking and never affects memory contents, so enabling it cannot
-/// perturb execution. `dirty` is the *drainable* set (an incremental
-/// snapshot consumes it via [`PhysMemory::take_dirty_pages`]); `touched`
-/// accumulates for the life of the tracker; `dirty_events` counts
-/// page-dirtying transitions monotonically across drains so a sampler
-/// can difference it into per-interval dirty rates.
-#[derive(Debug, Clone)]
-struct WriteTracker {
-    touched: Vec<bool>,
-    touched_count: u32,
-    dirty: Vec<bool>,
-    dirty_count: u32,
-    dirty_events: u64,
-}
-
-impl WriteTracker {
-    /// The clean→dirty transition, at most once per page per drain
-    /// interval; kept out of line so the per-write fast path in
-    /// `note_write` stays one load and one predictable branch.
-    #[cold]
-    #[inline(never)]
-    fn mark_dirty(&mut self, p: usize) {
-        self.dirty[p] = true;
-        self.dirty_count += 1;
-        self.dirty_events += 1;
-        if !self.touched[p] {
-            self.touched[p] = true;
-            self.touched_count += 1;
-        }
-    }
-}
-
 /// Equality is over *effective* memory contents; the decode-cache
 /// bookkeeping and the copy-on-write representation are transparent (a
 /// freshly forked child equals its parent).
@@ -253,9 +236,12 @@ impl PhysMemory {
             bytes,
             size,
             cow: None,
-            code_pages: vec![false; size as usize / PAGE],
+            page_state: vec![0; size as usize / PAGE],
             dirty_code: Vec::new(),
-            tracker: None,
+            tracking: false,
+            dirty: Vec::new(),
+            touched_count: 0,
+            dirty_events: 0,
         }
     }
 
@@ -282,28 +268,43 @@ impl PhysMemory {
         }
     }
 
-    /// Records a write over `[pa, pa+len)` against the code-page marks
-    /// and, when enabled, the working-set tracker.
+    /// Records a write over `[pa, pa+len)` in the page-state table. A
+    /// page needs nothing when it is no code page and already dirty
+    /// (tracking on) or clean (tracking off), so the common case is one
+    /// load and one compare per page; only a transition leaves the loop.
     #[inline]
     fn note_write(&mut self, pa: u32, len: u32) {
-        let first = pa >> PAGE_SHIFT;
-        let last = (pa + len - 1) >> PAGE_SHIFT;
-        for pfn in first..=last {
-            if self.code_pages[pfn as usize] {
-                self.dirty_code.push(pfn);
+        let quiet = if self.tracking { DIRTY } else { 0 };
+        let first = (pa >> PAGE_SHIFT) as usize;
+        let last = ((pa + len - 1) >> PAGE_SHIFT) as usize;
+        for p in first..=last {
+            if self.page_state[p] & (CODE | DIRTY) != quiet {
+                self.page_written(p);
             }
         }
-        if let Some(t) = &mut self.tracker {
-            for pfn in first..=last {
-                // Dirty implies touched (drains clear only the dirty
-                // side), so an already-dirty page — the overwhelmingly
-                // common case — needs no further bookkeeping.
-                let p = pfn as usize;
-                if !t.dirty[p] {
-                    t.mark_dirty(p);
-                }
+    }
+
+    /// Page `p`'s transitions on a write: a code page posts its notice
+    /// and loses its mark; under tracking, a clean page turns dirty (and
+    /// touched). Out of line, so `note_write` stays small.
+    #[cold]
+    #[inline(never)]
+    fn page_written(&mut self, p: usize) {
+        let mut s = self.page_state[p];
+        if s & CODE != 0 {
+            s &= !CODE;
+            self.dirty_code.push(p as u32);
+        }
+        if self.tracking && s & DIRTY == 0 {
+            s |= DIRTY;
+            self.dirty.push(p as u32);
+            self.dirty_events += 1;
+            if s & TOUCHED == 0 {
+                s |= TOUCHED;
+                self.touched_count += 1;
             }
         }
+        self.page_state[p] = s;
     }
 
     // ---- copy-on-write fork ----
@@ -324,16 +325,19 @@ impl PhysMemory {
         frozen
     }
 
-    /// A child overlay over `base` with no private pages, clean
-    /// decode-cache marks and no write tracker.
+    /// A child overlay over `base` with no private pages, no code marks
+    /// and tracking off.
     fn child_of(&self, base: Arc<Vec<u8>>) -> PhysMemory {
         PhysMemory {
             bytes: Vec::new(),
             size: self.size,
             cow: Some(Overlay::over(base)),
-            code_pages: vec![false; self.pages() as usize],
+            page_state: vec![0; self.pages() as usize],
             dirty_code: Vec::new(),
-            tracker: None,
+            tracking: false,
+            dirty: Vec::new(),
+            touched_count: 0,
+            dirty_events: 0,
         }
     }
 
@@ -420,27 +424,17 @@ impl PhysMemory {
 
     // ---- decode-cache write tracking ----
 
-    /// Marks a page as backing decoded-instruction-cache entries; later
-    /// writes to it are reported by [`PhysMemory::take_dirty_code_pages`].
+    /// Marks a page as backing decoded-instruction-cache entries; its
+    /// next write is reported by [`PhysMemory::take_dirty_code_pages`].
     pub fn note_code_page(&mut self, pfn: u32) {
-        self.code_pages[pfn as usize] = true;
-    }
-
-    /// True if page `pfn` is marked as backing decoded-instruction-cache
-    /// entries (false past the end).
-    #[inline]
-    pub fn is_code_page(&self, pfn: u32) -> bool {
-        self.code_pages.get(pfn as usize).copied().unwrap_or(false)
-    }
-
-    /// Clears a page's code mark (after its cache entries are dropped).
-    pub fn clear_code_page(&mut self, pfn: u32) {
-        self.code_pages[pfn as usize] = false;
+        self.page_state[pfn as usize] |= CODE;
     }
 
     /// Clears every code mark and pending dirty notice.
     pub fn clear_all_code_pages(&mut self) {
-        self.code_pages.fill(false);
+        for s in &mut self.page_state {
+            *s &= !CODE;
+        }
         self.dirty_code.clear();
     }
 
@@ -450,8 +444,10 @@ impl PhysMemory {
         !self.dirty_code.is_empty()
     }
 
-    /// Drains the set of marked pages written since the last call (may
-    /// contain duplicates; empty drains allocate nothing).
+    /// Drains the marked pages written since the last call, in the order
+    /// of their first write. Each write to a marked page clears its mark,
+    /// so a page appears once unless it was marked again after a write
+    /// (empty drains allocate nothing).
     pub fn take_dirty_code_pages(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.dirty_code)
     }
@@ -459,39 +455,43 @@ impl PhysMemory {
     // ---- working-set write tracking ----
 
     /// Enables working-set telemetry: from now on every write marks its
-    /// pages touched and dirty (see [`WriteTracker`]). Re-enabling resets
-    /// the tracker. Observational only — contents, faults, and timing on
-    /// the simulated clock are unaffected.
+    /// pages touched and dirty. Re-enabling resets both sets and the
+    /// counts. Observational only — contents, faults, and timing on the
+    /// simulated clock are unaffected.
     pub fn enable_write_tracking(&mut self) {
-        let pages = self.pages() as usize;
-        self.tracker = Some(Box::new(WriteTracker {
-            touched: vec![false; pages],
-            touched_count: 0,
-            dirty: vec![false; pages],
-            dirty_count: 0,
-            dirty_events: 0,
-        }));
+        self.reset_tracking(true);
     }
 
     /// Disables working-set telemetry and drops its state.
     pub fn disable_write_tracking(&mut self) {
-        self.tracker = None;
+        self.reset_tracking(false);
+    }
+
+    /// Empties the dirty and touched sets and counts; `on` sets tracking.
+    fn reset_tracking(&mut self, on: bool) {
+        for s in &mut self.page_state {
+            *s &= CODE;
+        }
+        self.tracking = on;
+        self.dirty.clear();
+        self.touched_count = 0;
+        self.dirty_events = 0;
     }
 
     /// Whether working-set telemetry is enabled.
     pub fn write_tracking_enabled(&self) -> bool {
-        self.tracker.is_some()
+        self.tracking
     }
 
     /// Distinct pages written since tracking was enabled or the dirty set
     /// was last drained (0 when tracking is off).
     pub fn dirty_page_count(&self) -> u32 {
-        self.tracker.as_ref().map_or(0, |t| t.dirty_count)
+        self.dirty.len() as u32
     }
 
     /// Distinct pages written since tracking was enabled (0 when off).
     pub fn touched_page_count(&self) -> u32 {
-        self.tracker.as_ref().map_or(0, |t| t.touched_count)
+        self.touched_count
     }
 
     /// Monotonic count of page-dirtying events — unlike
@@ -499,53 +499,36 @@ impl PhysMemory {
     /// sampler can difference it into per-interval dirty rates.
     #[inline]
     pub fn dirty_page_events(&self) -> u64 {
-        self.tracker.as_ref().map_or(0, |t| t.dirty_events)
+        self.dirty_events
     }
 
     /// The current dirty-page set in ascending order, without draining.
     pub fn dirty_pages(&self) -> Vec<u32> {
-        self.tracker.as_ref().map_or_else(Vec::new, |t| {
-            t.dirty
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| **d)
-                .map(|(p, _)| p as u32)
-                .collect()
-        })
+        let mut pages = self.dirty.clone();
+        pages.sort_unstable();
+        pages
     }
 
     /// Drains and returns the dirty-page set in ascending order — the
     /// seam an incremental snapshot consumes: pages dirtied after this
-    /// call land in the next drain. Touched pages and the monotonic
-    /// event count are unaffected.
+    /// call land in the next drain. `O(k log k)` for `k` dirty pages.
+    /// Touched pages and the monotonic event count are unaffected.
     pub fn take_dirty_pages(&mut self) -> Vec<u32> {
-        match &mut self.tracker {
-            None => Vec::new(),
-            Some(t) => {
-                let pages: Vec<u32> = t
-                    .dirty
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| **d)
-                    .map(|(p, _)| p as u32)
-                    .collect();
-                t.dirty.fill(false);
-                t.dirty_count = 0;
-                pages
-            }
+        let mut pages = std::mem::take(&mut self.dirty);
+        for &p in &pages {
+            self.page_state[p as usize] &= !DIRTY;
         }
+        pages.sort_unstable();
+        pages
     }
 
     /// The touched-page set (since enable) in ascending order.
     pub fn touched_pages(&self) -> Vec<u32> {
-        self.tracker.as_ref().map_or_else(Vec::new, |t| {
-            t.touched
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| **d)
-                .map(|(p, _)| p as u32)
-                .collect()
-        })
+        (0..)
+            .zip(&self.page_state)
+            .filter(|(_, s)| **s & TOUCHED != 0)
+            .map(|(p, _)| p)
+            .collect()
     }
 
     /// The bytes from `pa` through the end of its physical page — the
@@ -804,17 +787,20 @@ mod tests {
         assert!(m.has_dirty_code());
         assert_eq!(m.take_dirty_code_pages(), vec![1]);
         assert!(!m.has_dirty_code());
-        // A straddling write reports both touched pages.
+        // The notice cleared the mark: page 1 reports no more writes.
+        m.write_u16(PAGE_BYTES + 8, 3).unwrap();
+        assert!(!m.has_dirty_code());
+        // A straddling write reports both marked pages.
+        m.note_code_page(1);
         m.note_code_page(2);
         m.write_u32(2 * PAGE_BYTES - 2, 0xffff_ffff).unwrap();
         assert_eq!(m.take_dirty_code_pages(), vec![1, 2]);
-        // Clearing the mark stops reporting.
-        m.clear_code_page(1);
-        m.write_u16(PAGE_BYTES + 8, 3).unwrap();
-        assert!(!m.has_dirty_code());
+        // Every write flavor posts, once per page per mark.
+        m.note_code_page(2);
         m.write_slice(2 * PAGE_BYTES, &[1, 2, 3]).unwrap();
         m.zero_range(2 * PAGE_BYTES, 4).unwrap();
-        assert_eq!(m.take_dirty_code_pages(), vec![2, 2]);
+        assert_eq!(m.take_dirty_code_pages(), vec![2]);
+        m.note_code_page(2);
         m.clear_all_code_pages();
         m.write_u8(2 * PAGE_BYTES, 9).unwrap();
         assert!(!m.has_dirty_code());
@@ -1109,7 +1095,6 @@ mod tests {
         let mut m = PhysMemory::new(4 * PAGE_BYTES);
         m.write_u8(0, 9).unwrap();
         m.note_code_page(2);
-        assert!(m.is_code_page(2) && !m.is_code_page(1) && !m.is_code_page(99));
         m.enable_write_tracking();
         m.copy_within(0, 2 * PAGE_BYTES - 1, 2).unwrap();
         assert_eq!(m.take_dirty_code_pages(), vec![2]);

@@ -197,4 +197,91 @@ proptest! {
             prop_assert_eq!(parent.read_u32(p * 512 + 8).unwrap(), 0x1000 + p);
         }
     }
+
+    /// One page-state table serves every write observer. Over random
+    /// writes, code marks and interleaved drains, on a dense and on a
+    /// forked memory: each dirty drain names exactly the pages that a
+    /// fresh fork given the same writes makes resident, the touched set
+    /// is the union of the drains, the event count is the sum of their
+    /// sizes, and each marked page written appears exactly once in the
+    /// next code drain.
+    #[test]
+    fn page_state_serves_dirty_touched_and_code_drains(
+        forked in any::<bool>(),
+        ops in proptest::collection::vec((0u32..8, 0u32..8192, any::<u32>()), 1..64),
+    ) {
+        const SIZE: u32 = 16 * 512;
+        let mut parent = PhysMemory::new(SIZE);
+        let child = parent.fork();
+        let mut mem = if forked { child } else { PhysMemory::new(SIZE) };
+        mem.enable_write_tracking();
+        let fresh = || parent.fork_frozen().expect("the parent stays frozen");
+        let mut witness = fresh();
+        let mut marked = std::collections::BTreeSet::new();
+        let mut posted = Vec::new();
+        let mut union = std::collections::BTreeSet::new();
+        let mut drained = 0u64;
+        // Both sets are drained once more at the end.
+        for (kind, pa, v) in ops.into_iter().chain([(6, 0, 0), (7, 0, 0)]) {
+            let (dst, len) = match kind {
+                0 => (pa, 1),
+                1 => (pa.min(SIZE - 2), 2),
+                2 => (pa.min(SIZE - 4), 4),
+                3 | 4 => (pa, (v % 1100).min(SIZE - pa)),
+                5 => {
+                    let src = v % SIZE;
+                    (pa, (v >> 16).min(SIZE - pa).min(SIZE - src))
+                }
+                6 => {
+                    // A drain of the dirty set.
+                    prop_assert_eq!(mem.dirty_page_count() as usize, witness.resident_page_numbers().len());
+                    let dirty = mem.take_dirty_pages();
+                    prop_assert_eq!(&dirty, &witness.resident_page_numbers());
+                    drained += dirty.len() as u64;
+                    union.extend(dirty);
+                    witness = fresh();
+                    continue;
+                }
+                _ => {
+                    // A drain of the code notices, then fresh marks, as
+                    // a machine marks pages when it decodes after one.
+                    let mut code = mem.take_dirty_code_pages();
+                    code.sort_unstable();
+                    posted.sort_unstable();
+                    prop_assert_eq!(&code, &posted, "each marked page written, once");
+                    posted.clear();
+                    for p in (0..16).filter(|p| v >> p & 1 != 0) {
+                        mem.note_code_page(p);
+                        marked.insert(p);
+                    }
+                    continue;
+                }
+            };
+            for m in [&mut mem, &mut witness] {
+                match kind {
+                    0 => m.write_u8(dst, v as u8),
+                    1 => m.write_u16(dst, v as u16),
+                    2 => m.write_u32(dst, v),
+                    3 => m.write_slice(dst, &vec![v as u8; len as usize]),
+                    4 => m.zero_range(dst, len),
+                    _ => m.copy_within(v % SIZE, dst, len),
+                }
+                .unwrap();
+            }
+            if len > 0 {
+                for p in dst / 512..=(dst + len - 1) / 512 {
+                    if marked.remove(&p) {
+                        posted.push(p);
+                    }
+                }
+            }
+        }
+        let union: Vec<u32> = union.into_iter().collect();
+        prop_assert_eq!(mem.touched_pages(), union.clone());
+        prop_assert_eq!(mem.touched_page_count() as usize, union.len());
+        prop_assert_eq!(mem.dirty_page_events(), drained);
+        if forked {
+            prop_assert_eq!(mem.resident_page_numbers(), union);
+        }
+    }
 }
